@@ -83,6 +83,11 @@ pub fn parse_tier_list(arg: &str) -> Result<Vec<(String, TierSpec)>, String> {
 
 fn status_field_bytes(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    parse_status_field(&status, field)
+}
+
+/// One `kB` field of a `/proc/<pid>/status` text, in bytes.
+fn parse_status_field(status: &str, field: &str) -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with(field))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
@@ -149,6 +154,16 @@ pub fn reset_peak_rss() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by every test that reads or resets this process's peak-RSS
+    /// mark. `clear_refs` moves the mark for the whole process, so an
+    /// unserialized reset can land between another test's paired readings.
+    fn proc_memory_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // A failed assertion in one test must not fail the others.
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn every_listed_name_resolves_in_ascending_size() {
@@ -173,10 +188,20 @@ mod tests {
 
     #[test]
     fn peak_rss_reads_on_linux() {
+        let _proc = proc_memory_lock();
         if cfg!(target_os = "linux") {
-            let rss = peak_rss_bytes().expect("proc status readable");
+            // The public readers each parse their own read of the file.
+            let peak = peak_rss_bytes().expect("VmHWM readable");
+            assert!(peak > 1024 * 1024, "a test process peaks above 1 MiB");
+            let cur = current_rss_bytes().expect("VmRSS readable");
+            assert!(cur > 0, "a live process has resident pages");
+            // Both readings come from one snapshot: the kernel reports
+            // VmHWM >= VmRSS within a read, while RSS may grow between two.
+            let status =
+                std::fs::read_to_string("/proc/self/status").expect("proc status readable");
+            let rss = parse_status_field(&status, "VmHWM:").expect("VmHWM listed");
             assert!(rss > 1024 * 1024, "a test process peaks above 1 MiB");
-            let cur = current_rss_bytes().expect("proc status readable");
+            let cur = parse_status_field(&status, "VmRSS:").expect("VmRSS listed");
             assert!(cur > 0 && cur <= rss, "current RSS below the peak");
         }
     }
@@ -186,6 +211,7 @@ mod tests {
         if !cfg!(target_os = "linux") {
             return;
         }
+        let _proc = proc_memory_lock();
         // Spike the RSS well above steady-state, then reset: either the
         // kernel honors clear_refs(5) and the peak collapses toward current
         // RSS, or reset_peak_rss must say so by returning false.

@@ -102,6 +102,21 @@ pub struct FibEntry {
     pub warm: bool,
 }
 
+/// Which decisions of a run push their outcome through the export fan-out
+/// to Adj-RIB-Out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Export {
+    /// Only decisions that changed what the prefix advertises. Used by the
+    /// RIB-driven entry points (`handle_update`, `peer_down`, `originate`,
+    /// `withdraw_origin`), which leave every peer-side export input as is.
+    Changed,
+    /// Every decision of the run. Used by the policy-driven entry points
+    /// (`reevaluate_all`, `reevaluate_filtered`, `reevaluate_prefixes`),
+    /// which run because egress filters or export policies may have changed
+    /// under an unchanged Loc-RIB.
+    All,
+}
+
 /// Telemetry binding of one speaker: disabled (and free) by default,
 /// attached by the host via [`BgpDaemon::set_telemetry`]. Boxed so an
 /// unbound daemon carries one pointer of overhead, and skipped during
@@ -141,8 +156,8 @@ pub struct BgpDaemon {
     originated: BTreeMap<Prefix, Arc<PathAttributes>>,
     loc_rib: FlatMap<Prefix, LocRibEntry>,
     adj_rib_out: AdjRibOut,
-    /// Prefixes whose Loc-RIB entry was (re)installed or removed since the
-    /// last FIB export — the per-prefix dirty marks behind
+    /// Prefixes whose FIB projection changed since the last FIB export —
+    /// the per-prefix dirty marks behind
     /// [`BgpDaemon::take_fib_changes`]. Skipped on the wire: a restored
     /// daemon starts with no marks and `fib_delta_ready == false`, forcing
     /// one full sync before delta export resumes.
@@ -155,6 +170,33 @@ pub struct BgpDaemon {
     fib_delta_ready: bool,
     #[serde(skip)]
     telemetry: DaemonTelemetry,
+}
+
+/// The forwarding next-hops of a Loc-RIB entry: its learned selected
+/// routes with their weights, in selection order.
+fn learned_hops(entry: &LocRibEntry) -> impl Iterator<Item = (PeerId, u32)> + '_ {
+    entry
+        .selected
+        .iter()
+        .zip(&entry.weights)
+        .filter_map(|(r, w)| r.learned_from.map(|p| (p, *w)))
+}
+
+/// Whether two Loc-RIB states of one prefix project to the same FIB entry
+/// (see [`BgpDaemon::fib`]): the same learned next-hops with the same
+/// weights and, when there are any, the same warm flag. Next-hops are
+/// compared in selection order, so a reordered but equal set reads as a
+/// change — an over-approximation the delta FIB apply absorbs.
+fn same_fib_projection(a: Option<&LocRibEntry>, b: Option<&LocRibEntry>) -> bool {
+    if !a
+        .into_iter()
+        .flat_map(learned_hops)
+        .eq(b.into_iter().flat_map(learned_hops))
+    {
+        return false;
+    }
+    a.into_iter().flat_map(learned_hops).next().is_none()
+        || a.map(|e| e.fib_warm_only) == b.map(|e| e.fib_warm_only)
 }
 
 impl BgpDaemon {
@@ -190,7 +232,9 @@ impl BgpDaemon {
         })));
     }
 
-    /// Mutable access to the speaker config (used by ablations).
+    /// Mutable access to the speaker config (used by ablations). A change
+    /// that alters what is advertised reaches peers on the next
+    /// policy-driven re-evaluation ([`reevaluate_all`](Self::reevaluate_all)).
     pub fn config_mut(&mut self) -> &mut DaemonConfig {
         &mut self.cfg
     }
@@ -291,13 +335,15 @@ impl BgpDaemon {
             return Vec::new();
         }
         state.established = true;
-        // Advertise every Loc-RIB advertised route to the new peer.
+        // Advertise every Loc-RIB advertised route to the new peer. Loc-RIB
+        // prefixes are unique and ascending, so each one is pushed straight
+        // onto the UPDATE — there is nothing earlier to merge with.
         let prefixes: Vec<Prefix> = self.loc_rib.keys().copied().collect();
         let mut out = UpdateMessage::default();
         for prefix in prefixes {
             if let Some(attrs) = self.desired_advertisement(peer, prefix, policy) {
                 if let Some(canon) = self.adj_rib_out.advertise(peer, prefix, attrs) {
-                    out.merge(UpdateMessage::announce(prefix, canon));
+                    out.announced.push((prefix, canon));
                 }
             }
         }
@@ -324,7 +370,7 @@ impl BgpDaemon {
         let affected = self.adj_rib_in.flush_peer(peer);
         // Drop pending out-state toward the dead session.
         self.adj_rib_out.flush_peer(peer);
-        self.run_decisions(affected, policy)
+        self.run_decisions(affected, policy, Export::Changed)
     }
 
     /// Originate (or re-originate with new attributes) a local route.
@@ -342,7 +388,7 @@ impl BgpDaemon {
             attrs.link_bandwidth_gbps = None;
         }
         self.originated.insert(prefix, Arc::new(attrs));
-        self.run_decisions(vec![prefix], policy)
+        self.run_decisions(vec![prefix], policy, Export::Changed)
     }
 
     /// Stop originating a local route.
@@ -354,7 +400,7 @@ impl BgpDaemon {
         if self.originated.remove(&prefix).is_none() {
             return Vec::new();
         }
-        self.run_decisions(vec![prefix], policy)
+        self.run_decisions(vec![prefix], policy, Export::Changed)
     }
 
     /// Process a received UPDATE.
@@ -424,13 +470,15 @@ impl BgpDaemon {
                 }
             }
         }
-        self.run_decisions(affected, policy)
+        self.run_decisions(affected, policy, Export::Changed)
     }
 
     /// Re-run the decision process for every known prefix — called when an
     /// RPA is installed or removed ("BGP can independently discover and
     /// process new viable routes by locally re-applying the pre-installed
-    /// RPAs", §4.1).
+    /// RPAs", §4.1). Like every policy-driven entry point, it re-exports
+    /// each decision to every established session, whether or not the
+    /// Loc-RIB entry moved: egress filters and export policies may have.
     pub fn reevaluate_all(&mut self, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
         let known = self.known_prefixes();
         self.reevaluate_filtered(known, policy)
@@ -468,7 +516,7 @@ impl BgpDaemon {
         });
         let mut prefixes: BTreeSet<Prefix> = purged.into_iter().collect();
         prefixes.extend(extra);
-        self.run_decisions(prefixes.into_iter().collect(), policy)
+        self.run_decisions(prefixes.into_iter().collect(), policy, Export::All)
     }
 
     /// Re-run the decision process for `prefixes` only — the scoped
@@ -486,7 +534,7 @@ impl BgpDaemon {
         prefixes: Vec<Prefix>,
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
-        self.run_decisions(prefixes, policy)
+        self.run_decisions(prefixes, policy, Export::All)
     }
 
     /// Every prefix the speaker currently knows: held in Adj-RIB-In,
@@ -543,11 +591,14 @@ impl BgpDaemon {
     /// to a route-refresh request (RFC 2918's role): the neighbor lost or
     /// filtered state it now wants back.
     pub fn full_advertisement(&self, peer: PeerId) -> UpdateMessage {
-        let mut out = UpdateMessage::default();
-        for (prefix, attrs) in self.adj_rib_out.advertisements(peer) {
-            out.merge(UpdateMessage::announce(prefix, Arc::clone(attrs)));
+        UpdateMessage {
+            withdrawn: Vec::new(),
+            announced: self
+                .adj_rib_out
+                .advertisements(peer)
+                .map(|(prefix, attrs)| (prefix, Arc::clone(attrs)))
+                .collect(),
         }
-        out
     }
 
     /// Snapshot the FIB: one entry per forwarding-installed prefix.
@@ -563,12 +614,7 @@ impl BgpDaemon {
     /// locally-originated only).
     fn fib_entry_for(&self, prefix: Prefix) -> Option<FibEntry> {
         let entry = self.loc_rib.get(&prefix)?;
-        let mut nexthops: Vec<(PeerId, u32)> = entry
-            .selected
-            .iter()
-            .zip(&entry.weights)
-            .filter_map(|(r, w)| r.learned_from.map(|p| (p, *w)))
-            .collect();
+        let mut nexthops: Vec<(PeerId, u32)> = learned_hops(entry).collect();
         if nexthops.is_empty() {
             // Locally-originated only: nothing to forward upstream.
             return None;
@@ -637,7 +683,7 @@ impl BgpDaemon {
     /// bandwidth community is attached and receivers fall back to their own
     /// link capacities.
     fn effective_capacity(&self, entry: &LocRibEntry) -> Option<f64> {
-        let caps: Vec<f64> = entry
+        let mut caps = entry
             .selected
             .iter()
             .filter_map(|r| {
@@ -648,43 +694,38 @@ impl BgpDaemon {
                     None => link,
                 })
             })
-            .collect();
-        if caps.is_empty() {
-            None
-        } else {
-            Some(caps.iter().sum())
-        }
+            .peekable();
+        caps.peek()?;
+        Some(caps.sum())
     }
 
+    /// Decide every prefix in `prefixes` (deduplicated, ascending) and
+    /// collect the resulting UPDATEs per session.
     fn run_decisions(
         &mut self,
         prefixes: Vec<Prefix>,
         policy: &dyn RibPolicy,
+        export: Export,
     ) -> Vec<(PeerId, UpdateMessage)> {
-        let mut unique: BTreeSet<Prefix> = prefixes.into_iter().collect();
+        let unique: BTreeSet<Prefix> = prefixes.into_iter().collect();
         let mut per_peer: BTreeMap<PeerId, UpdateMessage> = BTreeMap::new();
-        for prefix in std::mem::take(&mut unique) {
-            self.decide_prefix(prefix, policy, &mut per_peer);
+        for prefix in unique {
+            self.decide_prefix(prefix, policy, export, &mut per_peer);
         }
-        per_peer
-            .into_iter()
-            .filter(|(_, u)| !u.is_empty())
-            .collect()
+        per_peer.into_iter().collect()
     }
 
     fn decide_prefix(
         &mut self,
         prefix: Prefix,
         policy: &dyn RibPolicy,
+        export: Export,
         per_peer: &mut BTreeMap<PeerId, UpdateMessage>,
     ) {
         let candidates = self.candidates(prefix);
-        // Only the previously advertised route is needed unconditionally
-        // (for the best-path-change comparison); the full previous entry is
-        // cloned lazily inside the rare keep-warm branches.
-        let prev_advertised: Option<Route> =
-            self.loc_rib.get(&prefix).and_then(|e| e.advertised.clone());
-
+        // The previous entry is only cloned inside the rare keep-warm
+        // branches; the change checks below borrow it once `new_entry` is
+        // built.
         let new_entry: Option<LocRibEntry> = if candidates.is_empty() {
             None
         } else if let Some(sel) = policy.select_paths(prefix, &candidates) {
@@ -799,11 +840,30 @@ impl BgpDaemon {
             }
         };
 
+        let prev_entry = self.loc_rib.get(&prefix);
+        let prev_adv = prev_entry.and_then(|e| e.advertised.as_ref());
+        let new_adv = new_entry.as_ref().and_then(|e| e.advertised.as_ref());
+        let advert_changed = prev_adv != new_adv;
+        let fib_changed = !same_fib_projection(prev_entry, new_entry.as_ref());
+        // Change gate (DESIGN.md §16): Adj-RIB-Out already holds the desired
+        // advertisement of every established session for every input the
+        // RIB-driven entry points leave alone — egress filters, export
+        // policies and the session set. Only the advertised route, and with
+        // `wcmp_advertise` the capacity relayed with it, can move the
+        // export; when neither did, the fan-out below would change nothing.
+        let reexport = match export {
+            Export::All => true,
+            Export::Changed => {
+                advert_changed
+                    || (self.cfg.wcmp_advertise
+                        && prev_entry.and_then(|e| self.effective_capacity(e))
+                            != new_entry.as_ref().and_then(|e| self.effective_capacity(e)))
+            }
+        };
+
         if let DaemonTelemetry(Some(tel)) = &self.telemetry {
             tel.decisions.inc();
-            let prev_adv = prev_advertised.as_ref();
-            let new_adv = new_entry.as_ref().and_then(|e| e.advertised.as_ref());
-            if prev_adv != new_adv {
+            if advert_changed {
                 tel.best_path_changes.inc();
                 if tel.telemetry.journal_enabled() {
                     tel.telemetry.record(
@@ -821,13 +881,16 @@ impl BgpDaemon {
         match new_entry {
             Some(e) => {
                 self.loc_rib.insert(prefix, e);
-                self.fib_dirty.insert(prefix);
             }
             None => {
-                if self.loc_rib.remove(&prefix).is_some() {
-                    self.fib_dirty.insert(prefix);
-                }
+                self.loc_rib.remove(&prefix);
             }
+        }
+        if fib_changed {
+            self.fib_dirty.insert(prefix);
+        }
+        if !reexport {
+            return;
         }
 
         // Propagate advertisement changes to every established session. The
@@ -846,12 +909,12 @@ impl BgpDaemon {
             .collect();
         for peer in peers {
             match self.desired_advertisement_from(peer, prefix, policy, export_base.as_ref()) {
+                // Prefixes of one run are unique and ascending, so this
+                // decision is the only mention of `prefix` in the peer's
+                // UPDATE: a plain push is the merge.
                 None => {
                     if self.adj_rib_out.withdraw(peer, prefix) {
-                        per_peer
-                            .entry(peer)
-                            .or_default()
-                            .merge(UpdateMessage::withdraw(prefix));
+                        per_peer.entry(peer).or_default().withdrawn.push(prefix);
                     }
                 }
                 Some(want) => {
@@ -866,7 +929,8 @@ impl BgpDaemon {
                         per_peer
                             .entry(peer)
                             .or_default()
-                            .merge(UpdateMessage::announce(prefix, canon));
+                            .announced
+                            .push((prefix, canon));
                     }
                 }
             }

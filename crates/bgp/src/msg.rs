@@ -9,6 +9,7 @@ use crate::attrs::PathAttributes;
 use crate::types::Prefix;
 use centralium_topology::Asn;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An UPDATE: withdrawals plus announcements. Attributes are `Arc`-shared —
@@ -47,17 +48,51 @@ impl UpdateMessage {
 
     /// Merge another update into this one (later information wins: a prefix
     /// both withdrawn here and announced in `other` ends up announced).
+    ///
+    /// The result is what applying `other`'s withdrawals and then its
+    /// announcements one at a time would give: an announcement replaces any
+    /// earlier mention of its prefix and moves to the end, a withdrawal
+    /// drops the prefix's announcement and is listed once. Linear in the
+    /// size of both messages — one map over `other`'s prefixes and one pass
+    /// per vector.
     pub fn merge(&mut self, other: UpdateMessage) {
+        #[derive(Default)]
+        struct Incoming {
+            /// Index in `other.announced` of the prefix's last announcement.
+            last_announce: Option<usize>,
+            /// The prefix is (or is about to be) listed in `self.withdrawn`.
+            listed_withdrawn: bool,
+        }
+        let mut incoming: HashMap<Prefix, Incoming> =
+            HashMap::with_capacity(other.withdrawn.len() + other.announced.len());
+        for p in &other.withdrawn {
+            incoming.entry(*p).or_default();
+        }
+        for (i, (p, _)) in other.announced.iter().enumerate() {
+            incoming.entry(*p).or_default().last_announce = Some(i);
+        }
+        self.announced.retain(|(p, _)| !incoming.contains_key(p));
+        self.withdrawn.retain(|p| match incoming.get_mut(p) {
+            Some(inc) if inc.last_announce.is_some() => false,
+            Some(inc) => {
+                inc.listed_withdrawn = true;
+                true
+            }
+            None => true,
+        });
         for p in other.withdrawn {
-            self.announced.retain(|(ap, _)| *ap != p);
-            if !self.withdrawn.contains(&p) {
+            let inc = incoming
+                .get_mut(&p)
+                .expect("every incoming prefix is keyed");
+            if inc.last_announce.is_none() && !inc.listed_withdrawn {
+                inc.listed_withdrawn = true;
                 self.withdrawn.push(p);
             }
         }
-        for (p, attrs) in other.announced {
-            self.withdrawn.retain(|wp| *wp != p);
-            self.announced.retain(|(ap, _)| *ap != p);
-            self.announced.push((p, attrs));
+        for (i, (p, attrs)) in other.announced.into_iter().enumerate() {
+            if incoming[&p].last_announce == Some(i) {
+                self.announced.push((p, attrs));
+            }
         }
     }
 }

@@ -586,8 +586,11 @@ impl RibPolicy for RpaEngine {
 }
 
 impl RpaEngine {
+    /// Route Filter verdict for one (session, prefix). It runs for every
+    /// route on ingress and every (peer, prefix) on egress, so the session's
+    /// remote ASN is looked up only when an ASN-range statement asks for it.
     fn permit_direction(&self, peer: PeerId, prefix: Prefix, ingress: bool) -> bool {
-        let remote_asn = self.peer_asn.get(&peer).copied();
+        let remote_asn = || self.peer_asn.get(&peer).copied();
         for doc in &self.docs {
             let CompiledDoc::RouteFilter(rf) = &doc.compiled else {
                 continue;

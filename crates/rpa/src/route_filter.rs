@@ -62,12 +62,13 @@ pub enum PeerSignature {
 }
 
 impl PeerSignature {
-    /// Whether the signature covers `peer` (with its remote ASN, as known to
-    /// the engine from session configuration).
-    pub fn covers(&self, peer: PeerId, remote_asn: Option<Asn>) -> bool {
+    /// Whether the signature covers `peer`. `remote_asn` yields the
+    /// session's remote ASN, as known to the engine from session
+    /// configuration; it is called only by an ASN-range signature.
+    pub fn covers(&self, peer: PeerId, remote_asn: impl FnOnce() -> Option<Asn>) -> bool {
         match self {
             PeerSignature::Peers(list) => list.contains(&peer),
-            PeerSignature::AsnRange(lo, hi) => match remote_asn {
+            PeerSignature::AsnRange(lo, hi) => match remote_asn() {
                 Some(asn) => *lo <= asn && asn <= *hi,
                 None => false,
             },
@@ -164,14 +165,16 @@ mod tests {
 
     #[test]
     fn peer_signature_coverage() {
+        // Only an ASN-range signature asks for the remote ASN.
+        let no_lookup = || -> Option<Asn> { panic!("remote ASN looked up") };
         let by_peer = PeerSignature::Peers(vec![PeerId(1), PeerId(2)]);
-        assert!(by_peer.covers(PeerId(1), None));
-        assert!(!by_peer.covers(PeerId(3), Some(Asn(60000))));
+        assert!(by_peer.covers(PeerId(1), no_lookup));
+        assert!(!by_peer.covers(PeerId(3), no_lookup));
         let by_asn = PeerSignature::AsnRange(Asn(60000), Asn(69999));
-        assert!(by_asn.covers(PeerId(9), Some(Asn(60005))));
-        assert!(!by_asn.covers(PeerId(9), Some(Asn(50000))));
-        assert!(!by_asn.covers(PeerId(9), None));
-        assert!(PeerSignature::Any.covers(PeerId(42), None));
+        assert!(by_asn.covers(PeerId(9), || Some(Asn(60005))));
+        assert!(!by_asn.covers(PeerId(9), || Some(Asn(50000))));
+        assert!(!by_asn.covers(PeerId(9), || None));
+        assert!(PeerSignature::Any.covers(PeerId(42), no_lookup));
     }
 
     #[test]
