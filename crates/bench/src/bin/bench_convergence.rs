@@ -1,13 +1,18 @@
-//! Perf baseline for the parallel convergence engine: serial vs `--workers
-//! {2,4,8}` wall time at two fabric sizes, plus the determinism check the
-//! CI perf-smoke job gates on.
+//! Perf baseline for the convergence engine: the event-at-a-time `step()`
+//! loop vs windows at `--workers {1,2,4,8}`, at several fabric sizes, plus
+//! the determinism check the CI perf-smoke job gates on.
 //!
 //! Each episode runs a full convergence story — cold start on the backbone
 //! default route, an equalize RPA fleet-deployed to every SSW, and a FADU
 //! bounce — so the measurement covers both pure BGP churn and the
 //! signature-evaluation path whose (sig, attrs) cache the parallel engine
-//! shares per device. Every worker count must reproduce the serial FIBs
-//! byte for byte; a mismatch exits nonzero.
+//! shares per device. Every row must reproduce the reference FIBs byte for
+//! byte; a mismatch exits nonzero.
+//!
+//! The reference row, `per_event`, converges by `while net.step() {}` (one
+//! event per window) and is what every `speedup` divides. The `workers: 1`
+//! row runs windows inline, so its speedup is the gain from batching alone,
+//! recorded per fabric as `batching_gain`.
 //!
 //! ```text
 //! bench_convergence [--tiny] [--fabric T1,T2,...] [--iters N] [--workers N]
@@ -24,18 +29,20 @@
 //! exercise the arena storage, the calendar-queue scheduler and the
 //! fan-in-compressed Adj-RIBs; scale tiers cap the worker ladder and
 //! iteration count (printed, never silent; `xxl` runs a single iteration)
-//! so a full pass stays tractable. `--workers N` measures only serial and `N` workers
-//! instead of the whole ladder. `--json FILE` writes the machine-readable
-//! report (BENCH_convergence.json by convention). `--baseline FILE`
-//! compares the run against a committed report and exits nonzero when the
-//! serial median wall time regresses by more than 20% on any fabric.
+//! so a full pass stays tractable. `--workers N` measures only `per_event`,
+//! one worker and `N` workers instead of the whole ladder. `--json FILE`
+//! writes the machine-readable report (BENCH_convergence.json by
+//! convention). `--baseline FILE` compares the run against a committed
+//! report and exits nonzero when the reference median wall time regresses
+//! by more than 20% on any fabric (reports written before the `per_event`
+//! row existed carry the same measurement as their `workers: 1` row).
 //! `--min-speedup X` requires one fabric — the last measured by default,
 //! `--gate-fabric TIER` to pin it explicitly — to reach at least `X`×
-//! parallel speedup over serial and exits nonzero (printing the failing
-//! JSON row) when it does not; on a host with fewer than two effective
-//! cores the gate reports itself skipped — worker parallelism cannot exist
-//! there, so a failure would measure the machine, not the engine. Both
-//! gates back the CI perf-smoke job.
+//! speedup over the reference on some multi-worker row and exits nonzero
+//! (printing the failing JSON row) when it does not; on a host with fewer
+//! than two effective cores the gate reports itself skipped — worker
+//! parallelism cannot exist there, so a failure would measure the machine,
+//! not the engine. Both gates back the CI perf-smoke job.
 //!
 //! Beyond wall time the report carries the zero-copy hot-path counters:
 //! `events_processed` (UPDATE coalescing collapses per-prefix messages into
@@ -56,14 +63,11 @@
 
 use centralium_bench::alloc::{live_heap_bytes, CountingAlloc};
 use centralium_bench::args::BenchArgs;
+use centralium_bench::episode;
 use centralium_bench::report::Table;
+use centralium_bench::stats::percentile;
 use centralium_bench::tier::{
     current_rss_bytes, parse_tier_list, peak_rss_bytes, reset_peak_rss, trim_allocator, TierSpec,
-};
-use centralium_bgp::attrs::well_known;
-use centralium_bgp::Prefix;
-use centralium_rpa::{
-    Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, RpaDocument,
 };
 use centralium_simnet::{SimConfig, SimNet};
 use serde_json::json;
@@ -77,10 +81,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const SEED: u64 = 7;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const DEFAULT_ITERS: usize = 5;
-const RPC_US: u64 = 300;
 
 /// Tiers at or above this device count are "scale tiers": the worker ladder
-/// shrinks to {serial, max} and iterations cap at [`SCALE_TIER_ITERS`], both
+/// shrinks to {per_event, 1, max} and iterations cap at [`SCALE_TIER_ITERS`], both
 /// printed so the caps are never silent. A 10k-device episode runs for
 /// seconds, not microseconds — the full ladder × 5 iters buys no extra
 /// signal for minutes of extra wall.
@@ -88,7 +91,7 @@ const SCALE_TIER_DEVICES: usize = 1_000;
 const SCALE_TIER_ITERS: usize = 2;
 
 /// Tiers at or above this device count (`xxl`: 100k devices) run one
-/// iteration only — a single serial episode is minutes of wall, and the
+/// iteration only — a single per-event episode is minutes of wall, and the
 /// byte-budget/determinism signal does not improve with repetition.
 const HUGE_TIER_DEVICES: usize = 50_000;
 const HUGE_TIER_ITERS: usize = 1;
@@ -129,66 +132,40 @@ struct Episode {
     peer_refs: u64,
 }
 
-fn equalize_doc() -> RpaDocument {
-    RpaDocument::PathSelection(PathSelectionRpa::single(
-        "equalize",
-        PathSelectionStatement::select(
-            Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE),
-            vec![PathSet::new("all", PathSignature::any())],
-        ),
-    ))
+/// Converge, returning the events processed: by `while net.step() {}`
+/// (the `per_event` row) or by `run_until_quiescent` windows. The
+/// `per_event` drive ends in `run_until_quiescent` too, which then only
+/// runs the quiescence bookkeeping every row reports gauges from.
+fn converge(net: &mut SimNet, per_event: bool) -> u64 {
+    let mut events = 0;
+    while per_event && net.step() {
+        events += 1;
+    }
+    events
+        + net
+            .run_until_quiescent()
+            .expect_converged()
+            .events_processed
 }
 
-/// One full convergence story at a given worker count. The wall clock covers
-/// everything after topology construction: session establishment, cold-start
-/// convergence, the RPA fleet deployment and the device bounce — FADU-0/0 on
-/// the five-layer tiers, the first pod's plane-0 aggregation switch on the
-/// three-tier scale tiers (which have no FADU layer).
-fn episode(spec: &TierSpec, workers: usize) -> Episode {
+/// One timed episode ([`episode::run`]): the `per_event` drive for
+/// `workers: None`, windows at that many workers otherwise. The wall clock
+/// covers everything after topology construction.
+fn measure(spec: &TierSpec, workers: Option<usize>) -> Episode {
     // Collapse the process-lifetime high-water mark to the current RSS so
     // this episode's peak reading is its own, not an earlier tier's.
     let peak_rss_inherited = !reset_peak_rss();
     let (topo, idx, _) = spec.build();
     let mut net = SimNet::new(
         topo,
-        SimConfig::builder().seed(SEED).workers(workers).build(),
+        SimConfig::builder()
+            .seed(SEED)
+            .workers(workers.unwrap_or(1))
+            .build(),
     );
     let clone_bytes_before = centralium_bgp::attrs::attr_clone_bytes();
     let start = Instant::now();
-    net.establish_all();
-    for &eb in &idx.backbone {
-        net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
-    }
-    let mut events = net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
-    for grid in &idx.ssw {
-        for &ssw in grid {
-            net.deploy_rpa(ssw, equalize_doc(), RPC_US);
-        }
-    }
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
-    let bounce = idx
-        .fadu
-        .first()
-        .and_then(|g| g.first())
-        .or_else(|| idx.fsw.first().and_then(|p| p.first()))
-        .copied()
-        .expect("fabric has a FADU or aggregation device to bounce");
-    net.device_down(bounce);
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
-    net.device_up(bounce);
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    let events = episode::run(&mut net, &idx, |net| converge(net, workers.is_none()));
     let wall = start.elapsed();
     // Quiescent footprint: read before the FIB snapshot string (itself tens
     // of MB at scale) is allocated, so the budget measures the fabric, not
@@ -230,11 +207,6 @@ fn episode(spec: &TierSpec, workers: usize) -> Episode {
         canonical_routes: snap.gauge("bgp.canonical_routes").max(0) as u64,
         peer_refs: snap.gauge("bgp.peer_refs").max(0) as u64,
     }
-}
-
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 fn main() -> ExitCode {
@@ -314,8 +286,8 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "Convergence engine baseline: serial vs parallel, seed {SEED}, {iters} iters, \
-         {host_cores} host cores"
+        "Convergence engine baseline: per-event step() loop vs windows, seed {SEED}, \
+         {iters} iters, {host_cores} host cores"
     );
     println!("episode: cold start + SSW-fleet equalize RPA + FADU bounce\n");
 
@@ -338,7 +310,8 @@ fn main() -> ExitCode {
             let capped_iters = iters.min(cap);
             println!(
                 "fabric '{label}' is a scale tier: capping at {capped_iters} iters, \
-                 workers {ladder:?} (the full ladder adds minutes of wall for no signal)"
+                 per_event + workers {ladder:?} (the full ladder adds minutes of wall for no \
+                 signal)"
             );
             (capped_iters, ladder)
         } else {
@@ -354,34 +327,35 @@ fn main() -> ExitCode {
             "live KB/dev",
             "attr KB cloned",
             "cache hit rate",
-            "fib == serial",
+            "fib == ref",
         ]);
-        let mut serial_snapshot: Option<String> = None;
-        let mut serial_median = 0.0;
-        let mut serial_batch_shape = (0u64, 0u64, 0u64);
+        let mut ref_snapshot: Option<String> = None;
+        let mut ref_median = 0.0;
+        let mut batching_gain = 0.0;
+        let mut ref_batch_shape = (0u64, 0u64, 0u64);
         let mut rows = Vec::new();
-        for &workers in &tier_workers {
+        for workers in std::iter::once(None).chain(tier_workers.iter().copied().map(Some)) {
             let mut walls = Vec::with_capacity(tier_iters);
             let mut last = None;
             for _ in 0..tier_iters {
-                let ep = episode(spec, workers);
+                let ep = measure(spec, workers);
                 walls.push(ep.wall.as_secs_f64() * 1e3);
                 last = Some(ep);
             }
             let ep = last.expect("at least one iteration");
-            let median = median_ms(&mut walls);
-            let matches = match &serial_snapshot {
+            let median = percentile(&walls, 50.0);
+            let matches = match &ref_snapshot {
                 None => {
-                    serial_snapshot = Some(ep.fib_snapshot.clone());
-                    serial_median = median;
-                    serial_batch_shape = (
+                    ref_snapshot = Some(ep.fib_snapshot.clone());
+                    ref_median = median;
+                    ref_batch_shape = (
                         ep.batches_delivered,
                         ep.updates_coalesced,
                         ep.max_batch_size,
                     );
                     true
                 }
-                Some(serial) => *serial == ep.fib_snapshot,
+                Some(reference) => *reference == ep.fib_snapshot,
             };
             fib_mismatch |= !matches;
             // Sub-millisecond medians can round to zero on coarse clocks and
@@ -389,10 +363,13 @@ fn main() -> ExitCode {
             // with NaN/inf, so both ratios degrade to 0.0 and the JSON
             // carries the sample counts for the reader to judge.
             let speedup = if median > 0.0 {
-                serial_median / median
+                ref_median / median
             } else {
                 0.0
             };
+            if workers == Some(1) {
+                batching_gain = speedup;
+            }
             let cache_samples = ep.cache_hits + ep.cache_misses;
             let hit_rate = ep.cache_hits as f64 / cache_samples.max(1) as f64;
             let events_per_sec = if median > 0.0 {
@@ -402,7 +379,7 @@ fn main() -> ExitCode {
             };
             let kb_per_device = ep.quiescent_live_bytes as f64 / 1024.0 / spec.devices() as f64;
             table.row(&[
-                workers.to_string(),
+                workers.map_or("per_event".into(), |n| n.to_string()),
                 format!("{median:.2}"),
                 if median > 0.0 {
                     format!("{speedup:.2}x")
@@ -426,7 +403,8 @@ fn main() -> ExitCode {
                 if matches { "yes".into() } else { "NO".into() },
             ]);
             rows.push(json!({
-                "workers": workers,
+                "workers": workers.unwrap_or(1),
+                "drive": if workers.is_some() { "windows" } else { "per_event" },
                 "median_wall_ms": median,
                 "wall_samples": walls.len(),
                 "speedup": speedup,
@@ -455,21 +433,23 @@ fn main() -> ExitCode {
                 "windows": ep.windows,
                 "inline_windows": ep.inline_windows,
                 "shard_dispatches": ep.shard_dispatches,
-                "fib_matches_serial": matches,
+                "fib_matches_reference": matches,
             }));
         }
         let devices = spec.devices();
         println!("fabric '{label}' ({devices} devices):");
         println!("{}", table.render());
-        let (batches, coalesced, largest) = serial_batch_shape;
+        let (batches, coalesced, largest) = ref_batch_shape;
+        println!("  batching_gain (per_event / 1 worker): {batching_gain:.2}x");
         println!(
-            "  serial batch shape: {batches} batches delivered, {coalesced} updates coalesced, \
-             largest batch {largest}\n"
+            "  reference batch shape: {batches} batches delivered, {coalesced} updates \
+             coalesced, largest batch {largest}\n"
         );
         report.push(json!({
             "fabric": label,
             "devices": devices,
             "iters": tier_iters,
+            "batching_gain": batching_gain,
             "results": rows,
         }));
     }
@@ -492,10 +472,10 @@ fn main() -> ExitCode {
     }
 
     if fib_mismatch {
-        eprintln!("error: a parallel run produced FIBs different from the serial run");
+        eprintln!("error: a windowed run produced FIBs different from the per-event run");
         return ExitCode::FAILURE;
     }
-    println!("all parallel FIBs byte-identical to serial");
+    println!("all windowed FIBs byte-identical to the per-event reference");
 
     if let Ok(Some(path)) = args.get_str("baseline") {
         match check_baseline(&path, &report) {
@@ -538,7 +518,7 @@ fn main() -> ExitCode {
 }
 
 /// CI memory-budget gate: every *scale* fabric measured (≥
-/// [`SCALE_TIER_DEVICES`] devices) must hold its serial-row quiescent
+/// [`SCALE_TIER_DEVICES`] devices) must hold its reference-row quiescent
 /// live-heap footprint under `max_kb` KB per device. Sub-scale fabrics are
 /// skipped — on a 22-device fabric the process baseline dominates and a
 /// per-device quotient measures the harness, not the RIBs.
@@ -554,15 +534,9 @@ fn check_kb_per_device(report: &[serde_json::Value], max_kb: f64) -> Result<Vec<
             ));
             continue;
         }
-        let serial = fabric
-            .get("results")
-            .and_then(|v| v.as_array())
-            .and_then(|rows| {
-                rows.iter()
-                    .find(|r| r.get("workers").and_then(|v| v.as_u64()) == Some(1))
-            })
-            .ok_or_else(|| format!("fabric '{label}' has no serial row to gate on"))?;
-        let kb = serial
+        let reference = episode::baseline_row(fabric, "per_event")
+            .ok_or_else(|| format!("fabric '{label}' has no reference row to gate on"))?;
+        let kb = reference
             .get("quiescent_kb_per_device")
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("fabric '{label}' carries no quiescent_kb_per_device"))?;
@@ -591,7 +565,7 @@ fn check_kb_per_device(report: &[serde_json::Value], max_kb: f64) -> Result<Vec<
 }
 
 /// CI speedup gate: the gated fabric must reach at least `min`× median-wall
-/// speedup over serial on some parallel row. `--gate-fabric` pins the tier
+/// speedup over the `per_event` reference on some multi-worker row. `--gate-fabric` pins the tier
 /// explicitly; without it the gate falls back to the last measured fabric —
 /// an implicit choice that silently moves when a larger, untuned tier (like
 /// `xl`) joins the list, which is exactly why the flag exists. On failure
@@ -648,14 +622,14 @@ fn check_speedup(
     ))
 }
 
-/// CI perf-smoke gate: compare this run's serial median wall time against the
-/// committed baseline report, per fabric. More than 20% slower fails the run;
+/// CI perf-smoke gate: compare this run's reference (`per_event`) median
+/// wall time against the committed baseline's, per fabric. More than 20% slower fails the run;
 /// a fabric present in only one report is skipped (so the gate survives
 /// adding or removing fabrics without a lockstep baseline update). FIB
 /// equivalence is gated unconditionally above, not here.
 ///
 /// The relative gate carries the same absolute clock-noise slack as
-/// perf_report's overhead gate: on the tiny fabric the serial median is a
+/// perf_report's overhead gate: on the tiny fabric the reference median is a
 /// few hundred microseconds, where 20% is smaller than ordinary
 /// scheduler jitter between two back-to-back runs on the same machine.
 fn check_baseline(path: &str, report: &[serde_json::Value]) -> Result<Vec<String>, String> {
@@ -664,14 +638,11 @@ fn check_baseline(path: &str, report: &[serde_json::Value]) -> Result<Vec<String
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let baseline: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let serial_wall = |fabrics: &[serde_json::Value], label: &str| -> Option<f64> {
-        fabrics
+    let reference_wall = |fabrics: &[serde_json::Value], label: &str| -> Option<f64> {
+        let fabric = fabrics
             .iter()
-            .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(label))?
-            .get("results")?
-            .as_array()?
-            .iter()
-            .find(|r| r.get("workers").and_then(|v| v.as_u64()) == Some(1))?
+            .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(label))?;
+        episode::baseline_row(fabric, "per_event")?
             .get("median_wall_ms")?
             .as_f64()
     };
@@ -682,25 +653,26 @@ fn check_baseline(path: &str, report: &[serde_json::Value]) -> Result<Vec<String
     let mut lines = Vec::new();
     for fabric in report {
         let label = fabric.get("fabric").and_then(|v| v.as_str()).unwrap_or("?");
-        let (Some(base), Some(now)) =
-            (serial_wall(base_fabrics, label), serial_wall(report, label))
-        else {
+        let (Some(base), Some(now)) = (
+            reference_wall(base_fabrics, label),
+            reference_wall(report, label),
+        ) else {
             lines.push(format!(
-                "baseline '{label}': no serial sample to compare, skipped"
+                "baseline '{label}': no reference sample to compare, skipped"
             ));
             continue;
         };
         let ratio = now / base;
         if now > base * (1.0 + MAX_REGRESSION) + SLACK_MS {
             return Err(format!(
-                "fabric '{label}' serial wall regressed {:.0}%: {base:.2}ms -> {now:.2}ms \
+                "fabric '{label}' reference wall regressed {:.0}%: {base:.2}ms -> {now:.2}ms \
                  (gate: {:.0}% + {SLACK_MS}ms slack)",
                 (ratio - 1.0) * 100.0,
                 MAX_REGRESSION * 100.0,
             ));
         }
         lines.push(format!(
-            "baseline '{label}': serial wall {base:.2}ms -> {now:.2}ms ({:+.0}%), within gate",
+            "baseline '{label}': reference wall {base:.2}ms -> {now:.2}ms ({:+.0}%), within gate",
             (ratio - 1.0) * 100.0,
         ));
         if let Some(ctx) = phase_context(report, label) {
@@ -711,8 +683,7 @@ fn check_baseline(path: &str, report: &[serde_json::Value]) -> Result<Vec<String
 }
 
 /// Context printed alongside the gate verdict: where the windowed engine's
-/// wall time went in this run. Serial rows never enter the windowed path, so
-/// the split comes from the highest worker count measured.
+/// wall time went in this run, from the highest worker count measured.
 fn phase_context(report: &[serde_json::Value], label: &str) -> Option<String> {
     let row = report
         .iter()

@@ -64,7 +64,10 @@ fn main() -> ExitCode {
         );
         now
     };
-    println!("tier '{fabric}' ({} devices), baseline {base:.1} MB", spec.devices());
+    println!(
+        "tier '{fabric}' ({} devices), baseline {base:.1} MB",
+        spec.devices()
+    );
 
     let (topo, idx, _) = spec.build();
     let after_topo = report("topology built", base);

@@ -30,12 +30,9 @@
 //! when disabled.
 
 use centralium_bench::args::BenchArgs;
+use centralium_bench::episode;
+use centralium_bench::stats::percentile;
 use centralium_bench::tier::{parse_tier_list, peak_rss_bytes, reset_peak_rss, TierSpec};
-use centralium_bgp::attrs::well_known;
-use centralium_bgp::Prefix;
-use centralium_rpa::{
-    Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, RpaDocument,
-};
 use centralium_simnet::{SimConfig, SimNet};
 use centralium_telemetry::{span, MetricsSnapshot};
 use serde_json::json;
@@ -45,63 +42,28 @@ use std::time::Instant;
 const SEED: u64 = 7;
 const DEFAULT_ITERS: usize = 3;
 const DEFAULT_WORKERS: usize = 8;
-const RPC_US: u64 = 300;
 
 /// Overhead gate: untraced serial wall vs the committed baseline.
 const MAX_OVERHEAD: f64 = 0.02;
 /// Absolute slack for the overhead gate, in milliseconds.
 const OVERHEAD_SLACK_MS: f64 = 0.25;
 
-fn equalize_doc() -> RpaDocument {
-    RpaDocument::PathSelection(PathSelectionRpa::single(
-        "equalize",
-        PathSelectionStatement::select(
-            Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE),
-            vec![PathSet::new("all", PathSignature::any())],
-        ),
-    ))
-}
-
-/// The `bench_convergence` episode story, returning the converged network
-/// for post-hoc inspection. Wall clock covers everything after topology
-/// construction. Three-tier scale tiers have no FADU layer, so the bounce
-/// falls back to the first pod's plane-0 aggregation switch, mirroring
-/// `bench_convergence`.
-fn episode(spec: &TierSpec, workers: usize) -> (f64, SimNet) {
+/// The shared episode ([`episode::run`]), returning its wall time in ms
+/// (everything after topology construction) and the converged network for
+/// post-hoc inspection.
+fn measure(spec: &TierSpec, workers: usize) -> (f64, SimNet) {
     let (topo, idx, _) = spec.build();
     let mut net = SimNet::new(
         topo,
         SimConfig::builder().seed(SEED).workers(workers).build(),
     );
     let start = Instant::now();
-    net.establish_all();
-    for &eb in &idx.backbone {
-        net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
-    }
-    net.run_until_quiescent().expect_converged();
-    for grid in &idx.ssw {
-        for &ssw in grid {
-            net.deploy_rpa(ssw, equalize_doc(), RPC_US);
-        }
-    }
-    net.run_until_quiescent().expect_converged();
-    let bounce = idx
-        .fadu
-        .first()
-        .and_then(|g| g.first())
-        .or_else(|| idx.fsw.first().and_then(|p| p.first()))
-        .copied()
-        .expect("fabric has a FADU or aggregation device to bounce");
-    net.device_down(bounce);
-    net.run_until_quiescent().expect_converged();
-    net.device_up(bounce);
-    net.run_until_quiescent().expect_converged();
+    episode::run(&mut net, &idx, |net| {
+        net.run_until_quiescent()
+            .expect_converged()
+            .events_processed
+    });
     (start.elapsed().as_secs_f64() * 1e3, net)
-}
-
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Top-10 devices by traced busy time, as `(label, busy_ns)`.
@@ -155,10 +117,10 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize, workers: usize) -> Diagn
     reset_peak_rss();
 
     // Untraced medians: the honest speedup and the overhead-gate sample.
-    let mut serial_walls: Vec<f64> = (0..iters).map(|_| episode(spec, 1).0).collect();
-    let mut par_walls: Vec<f64> = (0..iters).map(|_| episode(spec, workers).0).collect();
-    let serial_median = median_ms(&mut serial_walls);
-    let par_median = median_ms(&mut par_walls);
+    let serial_walls: Vec<f64> = (0..iters).map(|_| measure(spec, 1).0).collect();
+    let par_walls: Vec<f64> = (0..iters).map(|_| measure(spec, workers).0).collect();
+    let serial_median = percentile(&serial_walls, 50.0);
+    let par_median = percentile(&par_walls, 50.0);
     let speedup = if par_median > 0.0 {
         serial_median / par_median
     } else {
@@ -171,7 +133,7 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize, workers: usize) -> Diagn
 
     // One traced parallel run for the breakdown.
     span::set_tracing(true);
-    let (traced_wall, net) = episode(spec, workers);
+    let (traced_wall, net) = measure(spec, workers);
     span::set_tracing(false);
     let snap = net.telemetry().metrics().snapshot();
     println!("  traced:   {workers} workers {traced_wall:.2}ms (tracing overhead included)");
@@ -399,23 +361,21 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize, workers: usize) -> Diagn
     Diagnosis { row, serial_median }
 }
 
-/// The CI overhead gate: this run's untraced serial median vs the committed
-/// `bench_convergence` baseline, within [`MAX_OVERHEAD`] plus
-/// [`OVERHEAD_SLACK_MS`]. Fabrics missing on either side are skipped.
+/// The CI overhead gate: this run's untraced one-worker median vs the
+/// committed `bench_convergence` baseline's one-worker windows row, within
+/// [`MAX_OVERHEAD`] plus [`OVERHEAD_SLACK_MS`]. Fabrics missing on either
+/// side are skipped.
 fn overhead_gate(path: &str, measured: &[(String, f64)]) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let baseline: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
     let base_serial = |label: &str| -> Option<f64> {
-        baseline
+        let fabric = baseline
             .get("fabrics")?
             .as_array()?
             .iter()
-            .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(label))?
-            .get("results")?
-            .as_array()?
-            .iter()
-            .find(|r| r.get("workers").and_then(|v| v.as_u64()) == Some(1))?
+            .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(label))?;
+        episode::baseline_row(fabric, "windows")?
             .get("median_wall_ms")?
             .as_f64()
     };

@@ -16,11 +16,14 @@
 //!   options (`--chaos-seed`, `--rpc-loss`, `--tiny`, `--json FILE`);
 //! * [`tier`] — the named fabric tiers (`tiny` … `xxl`) shared by
 //!   `bench_convergence` and `perf_report`, plus the peak-RSS probe;
+//! * [`episode`] — the convergence episode both of those time, and the
+//!   baseline-row lookup their gates share;
 //! * [`alloc`] — the counting global allocator behind the live-heap
 //!   footprint readings (installed per binary, not by this library).
 
 pub mod alloc;
 pub mod args;
+pub mod episode;
 pub mod report;
 pub mod scenarios;
 pub mod stats;

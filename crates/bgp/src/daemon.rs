@@ -995,7 +995,10 @@ impl BgpDaemon {
             return None;
         }
         let peer_state = self.peers.get(&peer)?;
-        peer_state.cfg.export.apply_shared(&prefix, Arc::clone(base))
+        peer_state
+            .cfg
+            .export
+            .apply_shared(&prefix, Arc::clone(base))
     }
 
     /// [`BgpDaemon::desired_advertisement_from`] with the base computed in

@@ -249,7 +249,9 @@ mod tests {
         let v = m.serialize();
         let back = FlatMap::<u32, String>::deserialize(&v).unwrap();
         assert_eq!(
-            back.iter().map(|(k, s)| (*k, s.clone())).collect::<Vec<_>>(),
+            back.iter()
+                .map(|(k, s)| (*k, s.clone()))
+                .collect::<Vec<_>>(),
             vec![(1, "a".to_string()), (3, "c".to_string())]
         );
         assert!(FlatMap::<u32, String>::deserialize(&serde::Value::Null).is_err());

@@ -122,9 +122,10 @@ with deadline-driven RPC retries and per-device circuit breakers):
   --max-retries N    RPC re-issues allowed per divergence (deploy only)
 
 convergence opts:
-  --workers N        worker threads for the convergence engine: 1 runs serial
-                     (default), 0 uses one per core; results are bit-identical
-                     either way. --telemetry forces the serial engine.
+  --workers N        worker threads for the convergence engine: 1 runs every
+                     window inline (default), 0 uses one per core; results are
+                     bit-identical either way. With --telemetry each window
+                     holds one event, so journal stamps stay exact.
   --shards N         device shards for the persistent worker pool (default 0 =
                      one per worker); devices are partitioned by pod/plane and
                      shard N runs on worker N mod workers. Purely a scheduling
@@ -140,8 +141,8 @@ profiling opts:
   --trace-out FILE      write a Chrome Trace Event JSON (open in Perfetto or
                         chrome://tracing); implies --profile
   --provenance PREFIX   trace the causal history of one prefix (e.g.
-                        0.0.0.0/0) and print it after the run; forces the
-                        serial engine
+                        0.0.0.0/0) and print it after the run; identical at
+                        every --workers count
   --provenance-out FILE write the provenance trace as JSON lines";
 
 fn spec_from(args: &Args) -> Result<FabricSpec, String> {

@@ -69,6 +69,27 @@ impl<V> DenseMap<V> {
         self.slots.get_mut(id.0 as usize)?.as_mut()
     }
 
+    /// Disjoint mutable values for `ids` (strictly ascending, or this
+    /// panics), one item per id, `None` when absent. Visits only those
+    /// slots, so a short job list never walks the whole arena.
+    pub(crate) fn get_many_mut(
+        &mut self,
+        ids: impl IntoIterator<Item = DeviceId>,
+    ) -> impl Iterator<Item = Option<&mut V>> {
+        let mut rest: &mut [Option<V>] = &mut self.slots;
+        let mut base = 0usize;
+        ids.into_iter().map(move |id| {
+            let idx = id.0 as usize;
+            assert!(idx >= base, "ids must be strictly ascending");
+            let (slot, tail) = std::mem::take(&mut rest)
+                .get_mut(idx - base..)?
+                .split_first_mut()?;
+            rest = tail;
+            base = idx + 1;
+            slot.as_mut()
+        })
+    }
+
     /// Whether `id` has a value.
     pub fn contains_key(&self, id: DeviceId) -> bool {
         self.get(id).is_some()
@@ -225,6 +246,17 @@ mod tests {
         m[DeviceId(1)] += 5;
         assert_eq!(m[DeviceId(1)], 15);
         assert!(m.footprint_bytes() >= 2 * std::mem::size_of::<Option<u64>>());
+    }
+
+    #[test]
+    fn get_many_mut_yields_one_item_per_id() {
+        let mut m: DenseMap<u32> = [0, 2, 5].map(|i| (DeviceId(i), i)).into_iter().collect();
+        let got: Vec<_> = m.get_many_mut([0, 1, 5, 9].map(DeviceId)).collect();
+        assert_eq!(got, vec![Some(&mut 0), None, Some(&mut 5), None]);
+        let unsorted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.get_many_mut([DeviceId(2), DeviceId(0)]).for_each(drop)
+        }));
+        assert!(unsorted.is_err(), "unsorted ids must panic");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! `BinaryHeap` paid O(log n) per operation and one cache miss per level at
 //! the multi-million-event depths a 10k-device fabric produces.
 //!
-//! Determinism is load-bearing: the serial and sharded engines are compared
-//! byte for byte, so the queue must pop in **exactly** `(time, seq)` order —
-//! the same total order the heap produced. Three properties keep that true:
+//! Determinism is load-bearing: every worker count is compared with the
+//! event-at-a-time `step()` loop byte for byte, so the queue must pop in
+//! **exactly** `(time, seq)` order — the same total order the heap
+//! produced. Three properties keep that true:
 //!
 //! * events with equal times share a bucket (same slot), where they are kept
 //!   sorted by sequence number — and since sequence numbers are globally

@@ -33,7 +33,9 @@ use centralium_topology::{Asn, DeviceId, DeviceState, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Emulator configuration.
 ///
@@ -91,11 +93,12 @@ pub struct SimConfig {
     pub handshake_sessions: bool,
     /// Safety cap on processed events per `run_until_quiescent`.
     pub max_events: u64,
-    /// Worker threads for the windowed convergence engine: `1` runs the
-    /// serial engine, `0` uses one worker per available core, and `N > 1`
-    /// keeps a persistent pool of `N` parked worker threads. Parallel runs
-    /// are bit-identical to serial ones (see `run_until_quiescent`);
-    /// journaling forces the serial engine.
+    /// Worker threads for the windowed convergence engine: `1` runs every
+    /// window inline on the calling thread, `0` uses one worker per
+    /// available core, and `N > 1` keeps a persistent pool of `N` parked
+    /// worker threads for windows big enough to dispatch. Every count is
+    /// bit-identical to the event-at-a-time [`SimNet::step`] loop, journal
+    /// and provenance included (see `run_until_quiescent`).
     pub parallel_workers: usize,
     /// Device shards for the parallel engine: `0` derives one shard per
     /// worker. Devices are partitioned by pod/plane/grid (their
@@ -257,16 +260,11 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Worker threads for the windowed convergence engine (alias:
-    /// [`SimConfigBuilder::workers`]).
-    pub fn parallel_workers(mut self, n: usize) -> Self {
+    /// Worker threads for the windowed convergence engine (see
+    /// [`SimConfig::parallel_workers`]).
+    pub fn workers(mut self, n: usize) -> Self {
         self.cfg.parallel_workers = n;
         self
-    }
-
-    /// Shorthand for [`SimConfigBuilder::parallel_workers`].
-    pub fn workers(self, n: usize) -> Self {
-        self.parallel_workers(n)
     }
 
     /// Device shards for the parallel engine (see [`SimConfig::shards`]).
@@ -422,6 +420,28 @@ pub enum NetEvent {
     },
 }
 
+impl NetEvent {
+    /// The device the event is processed on.
+    fn target(&self) -> DeviceId {
+        match *self {
+            NetEvent::Deliver { to, .. }
+            | NetEvent::DeliverBatch { to, .. }
+            | NetEvent::DeliverCtl { to, .. }
+            | NetEvent::RouteRefreshRequest { to, .. } => to,
+            NetEvent::SessionUp { dev, .. }
+            | NetEvent::SessionDown { dev, .. }
+            | NetEvent::InstallRpa { dev, .. }
+            | NetEvent::RemoveRpa { dev, .. }
+            | NetEvent::RemovePeer { dev, .. }
+            | NetEvent::Originate { dev, .. }
+            | NetEvent::WithdrawOrigin { dev, .. }
+            | NetEvent::SetExportPolicy { dev, .. }
+            | NetEvent::AgentRestart { dev }
+            | NetEvent::Reevaluate { dev } => dev,
+        }
+    }
+}
+
 /// Minimum jobs per worker before an auto-gated window dispatches to the
 /// pool. The persistent workers are parked on channels, so the per-window
 /// cost is a handoff (microseconds), not a thread spawn — but a window still
@@ -430,48 +450,10 @@ pub enum NetEvent {
 /// time. Overridden by [`SimConfig::min_dispatch_jobs`].
 const MIN_JOBS_PER_WORKER: usize = 8;
 
-/// The device-local portion of one windowed event, executed by a worker in
-/// the parallel engine. Mirrors [`NetEvent`] minus the target device id
-/// (implied by the per-device job list) and minus everything the serial
-/// pre-pass already consumed (global counters, churn/origination
-/// bookkeeping).
-#[derive(Debug)]
-enum Work {
-    /// Apply a BGP UPDATE received on session `on`.
-    Deliver { on: PeerId, msg: UpdateMessage },
-    /// Feed a session-control message into the FSM for session `on`.
-    Ctl { on: PeerId, msg: BgpMessage },
-    /// A session reached Established.
-    SessionUp { peer: PeerId },
-    /// A session dropped.
-    SessionDown { peer: PeerId },
-    /// Re-send the full Adj-RIB-Out for session `on` if it is established.
-    RouteRefresh { on: PeerId },
-    /// Tear down and unconfigure a session.
-    RemovePeer { peer: PeerId },
-    /// Install an RPA document.
-    InstallRpa { doc: Box<RpaDocument> },
-    /// Remove an RPA document by name.
-    RemoveRpa { name: String },
-    /// Start originating a prefix.
-    Originate {
-        prefix: Prefix,
-        attrs: PathAttributes,
-    },
-    /// Stop originating a prefix.
-    WithdrawOrigin { prefix: Prefix },
-    /// Apply an export-policy override across all sessions.
-    SetExportPolicy { policy: Policy },
-    /// Crash-restart the RPA agent, losing installed documents.
-    AgentRestart,
-    /// Re-run the full decision process without a configuration change.
-    Reevaluate,
-}
-
 /// One ordered emission produced by a worker. The merge phase replays these
 /// through [`SimNet::emit`]/[`SimNet::emit_ctl`] in the original global pop
 /// order, so every RNG draw (jitter, faults, split shuffles), FIFO clamp and
-/// queue sequence number lands exactly as it would under the serial engine.
+/// queue sequence number lands exactly as it would in a `step()` loop.
 #[derive(Debug)]
 enum Emission {
     /// Daemon output updates, to be scheduled via `emit`.
@@ -483,12 +465,47 @@ enum Emission {
     RefreshRequests(Vec<(DeviceId, PeerId)>),
 }
 
+/// A provenance record held back until the merge appends it to the log in
+/// pop order: the arguments of [`ProvenanceLog::append`], with the device
+/// still typed.
+type ProvRecord = (SimTime, DeviceId, ProvenanceKind, Option<u32>, String);
+
+/// One event popped into a window: its time, its target device (`None` for
+/// a no-op), its device-local remainder until a job takes it, the
+/// provenance records its pre-pass produced, and its job's output.
+struct Popped {
+    t: SimTime,
+    dev: Option<DeviceId>,
+    ev: Option<NetEvent>,
+    prov: Vec<ProvRecord>,
+    out: JobOut,
+}
+
+/// What one job hands back to the merge phase: its ordered emissions and,
+/// with a provenance trace armed, the records its device-side effects
+/// produced.
+#[derive(Debug, Default)]
+struct JobOut {
+    emissions: Vec<Emission>,
+    prov: Vec<ProvRecord>,
+}
+
+/// The shared read-only context every job runs against.
+#[derive(Clone, Copy)]
+struct WorkCtx<'a> {
+    counters: &'a NetCounters,
+    topo: &'a Topology,
+    cfg: &'a SimConfig,
+    /// The prefix under provenance trace, if one is armed.
+    traced: Option<Prefix>,
+}
+
 /// One device's batch within a worker dispatch: an exclusive raw pointer to
-/// the device plus its window job list in global pop order.
+/// the device plus its window jobs (pop index, time, event) in pop order.
 struct PoolSlot {
     id: DeviceId,
     dev: *mut SimDevice,
-    jobs: Vec<(SimTime, Work)>,
+    jobs: Vec<(usize, SimTime, NetEvent)>,
 }
 
 /// One worker's dispatch payload: the device slots of every shard assigned
@@ -505,118 +522,123 @@ struct PoolSlot {
 /// topology or config meanwhile (counters are only ever bumped through
 /// atomics); and (c) [`WorkerPool::dispatch`] blocks until every worker has
 /// reported completion, so no pointer outlives the borrow it came from.
+/// `traced` is plain `Copy` data.
 struct PoolJob {
     slots: Vec<PoolSlot>,
     counters: *const NetCounters,
     topo: *const Topology,
     cfg: *const SimConfig,
+    traced: Option<Prefix>,
 }
 
 unsafe impl Send for PoolJob {}
 
-/// A worker's dispatch result: per device, the ordered emission lists (one
-/// per job) and the device's busy ns, plus the worker's total busy time for
-/// utilization accounting.
+/// A worker's dispatch result: each job's output by pop index, each
+/// device's busy ns, and the worker's total busy time for utilization
+/// accounting.
 struct PoolDone {
-    slots: Vec<(DeviceId, Vec<Vec<Emission>>, u64)>,
+    outs: Vec<(usize, JobOut)>,
+    device_busy: Vec<(DeviceId, u64)>,
     busy_ns: u64,
 }
 
 /// The run function every pool worker executes: drain the dispatched device
-/// batches through [`run_work`], collecting emissions and busy timings.
+/// batches through [`run_work`], collecting job outputs and busy timings.
 fn pool_run(job: PoolJob) -> PoolDone {
-    // Safety: see `PoolJob` — exclusive disjoint devices, shared read-only
+    // SAFETY: see `PoolJob` — exclusive disjoint devices, shared read-only
     // context, coordinator blocked until this returns.
-    let counters = unsafe { &*job.counters };
-    let topo = unsafe { &*job.topo };
-    let cfg = unsafe { &*job.cfg };
-    let started = std::time::Instant::now();
+    let ctx = WorkCtx {
+        counters: unsafe { &*job.counters },
+        topo: unsafe { &*job.topo },
+        cfg: unsafe { &*job.cfg },
+        traced: job.traced,
+    };
+    let started = Instant::now();
     let mut sp = span::span("simnet", "worker");
-    let mut total_jobs = 0u64;
-    let mut slots = Vec::with_capacity(job.slots.len());
+    let mut outs = Vec::new();
+    let mut device_busy = Vec::with_capacity(job.slots.len());
     for slot in job.slots {
         let dev = unsafe { &mut *slot.dev };
-        let dev_start = std::time::Instant::now();
-        total_jobs += slot.jobs.len() as u64;
-        let mut outs = Vec::with_capacity(slot.jobs.len());
-        for (t, work) in slot.jobs {
-            outs.push(run_work(dev, t, work, counters, topo, cfg));
+        let dev_start = Instant::now();
+        for (i, t, ev) in slot.jobs {
+            outs.push((i, run_work(dev, t, ev, ctx)));
         }
-        slots.push((slot.id, outs, dev_start.elapsed().as_nanos() as u64));
+        device_busy.push((slot.id, dev_start.elapsed().as_nanos() as u64));
     }
-    sp.arg("jobs", total_jobs);
+    sp.arg("jobs", outs.len() as u64);
     drop(sp);
     let busy_ns = started.elapsed().as_nanos() as u64;
-    counters.worker_busy_ns.observe(busy_ns);
-    PoolDone { slots, busy_ns }
-}
-
-/// Static span/report name of one [`Work`] kind.
-fn work_name(work: &Work) -> &'static str {
-    match work {
-        Work::Deliver { .. } => "deliver",
-        Work::Ctl { .. } => "ctl",
-        Work::SessionUp { .. } => "session_up",
-        Work::SessionDown { .. } => "session_down",
-        Work::RouteRefresh { .. } => "route_refresh",
-        Work::RemovePeer { .. } => "remove_peer",
-        Work::InstallRpa { .. } => "install_rpa",
-        Work::RemoveRpa { .. } => "remove_rpa",
-        Work::Originate { .. } => "originate",
-        Work::WithdrawOrigin { .. } => "withdraw_origin",
-        Work::SetExportPolicy { .. } => "set_export_policy",
-        Work::AgentRestart => "agent_restart",
-        Work::Reevaluate => "reevaluate",
+    ctx.counters.worker_busy_ns.observe(busy_ns);
+    PoolDone {
+        outs,
+        device_busy,
+        busy_ns,
     }
 }
 
-/// Execute the device-local part of one event on a worker thread. Touches
-/// only `dev` (exclusive), shared read-only context, and atomic counters —
-/// never the RNG, the event queue, or cross-device state, which is what
-/// keeps parallel runs bit-identical to serial ones.
+/// Static span/report name of one event kind.
+fn work_name(ev: &NetEvent) -> &'static str {
+    match ev {
+        NetEvent::Deliver { .. } | NetEvent::DeliverBatch { .. } => "deliver",
+        NetEvent::DeliverCtl { .. } => "ctl",
+        NetEvent::SessionUp { .. } => "session_up",
+        NetEvent::SessionDown { .. } => "session_down",
+        NetEvent::RouteRefreshRequest { .. } => "route_refresh",
+        NetEvent::RemovePeer { .. } => "remove_peer",
+        NetEvent::InstallRpa { .. } => "install_rpa",
+        NetEvent::RemoveRpa { .. } => "remove_rpa",
+        NetEvent::Originate { .. } => "originate",
+        NetEvent::WithdrawOrigin { .. } => "withdraw_origin",
+        NetEvent::SetExportPolicy { .. } => "set_export_policy",
+        NetEvent::AgentRestart { .. } => "agent_restart",
+        NetEvent::Reevaluate { .. } => "reevaluate",
+    }
+}
+
+/// Execute the device-local part of one event, inline or on a pool worker.
+/// Touches only `dev` (exclusive), shared read-only context, and atomic
+/// counters — never the RNG, the event queue, or cross-device state, which
+/// is what keeps windowed runs bit-identical to the event-at-a-time loop.
 ///
-/// With span tracing enabled, each event gets a span named after its
-/// [`Work`] kind and its processing latency lands in the
+/// With a provenance trace armed, the traced prefix's state on `dev` is
+/// captured before and after the job and every observable change comes
+/// back as a record for the merge to append in pop order.
+///
+/// With span tracing enabled, each event gets a span named after its kind
+/// and its processing latency lands in the
 /// `simnet.event.latency_ns` histogram; disabled, this adds one relaxed
 /// atomic load over the bare dispatch.
-fn run_work(
-    dev: &mut SimDevice,
-    t: SimTime,
-    work: Work,
-    counters: &NetCounters,
-    topo: &Topology,
-    cfg: &SimConfig,
-) -> Vec<Emission> {
-    if !span::tracing_enabled() {
-        return run_work_inner(dev, t, work, counters, topo, cfg);
+fn run_work(dev: &mut SimDevice, t: SimTime, ev: NetEvent, ctx: WorkCtx) -> JobOut {
+    let before = ctx.traced.map(|p| prov_state(dev, p));
+    let emissions = if span::tracing_enabled() {
+        let started = Instant::now();
+        let mut sp = span::span("simnet.work", work_name(&ev));
+        sp.arg("device", dev.id.0 as u64);
+        sp.arg("t_us", t);
+        let emissions = run_work_inner(dev, t, ev, ctx);
+        drop(sp);
+        ctx.counters
+            .event_latency_ns
+            .observe(started.elapsed().as_nanos() as u64);
+        emissions
+    } else {
+        run_work_inner(dev, t, ev, ctx)
+    };
+    let mut prov = Vec::new();
+    if let (Some(p), Some(before)) = (ctx.traced, before) {
+        prov_deltas(&mut prov, t, dev.id, &before, &prov_state(dev, p));
     }
-    let started = std::time::Instant::now();
-    let mut sp = span::span("simnet.work", work_name(&work));
-    sp.arg("device", dev.id.0 as u64);
-    sp.arg("t_us", t);
-    let out = run_work_inner(dev, t, work, counters, topo, cfg);
-    drop(sp);
-    counters
-        .event_latency_ns
-        .observe(started.elapsed().as_nanos() as u64);
-    out
+    JobOut { emissions, prov }
 }
 
-fn run_work_inner(
-    dev: &mut SimDevice,
-    t: SimTime,
-    work: Work,
-    counters: &NetCounters,
-    topo: &Topology,
-    cfg: &SimConfig,
-) -> Vec<Emission> {
-    match work {
-        Work::Deliver { on, msg } => {
+fn run_work_inner(dev: &mut SimDevice, t: SimTime, ev: NetEvent, ctx: WorkCtx) -> Vec<Emission> {
+    match ev {
+        NetEvent::Deliver { on, msg, .. } => {
             dev.engine.set_time(t);
             let out = dev.with_daemon(|dm, e| dm.handle_update(on, msg, e));
             vec![Emission::Updates(out)]
         }
-        Work::Ctl { on, msg } => {
+        NetEvent::DeliverCtl { on, msg, .. } => {
             let now_secs = t / crate::event::SECONDS;
             let actions = match dev.sessions.get_mut(&on) {
                 Some(session) => session.handle(&msg, now_secs),
@@ -643,17 +665,17 @@ fn run_work_inner(
             }
             out
         }
-        Work::SessionUp { peer } => {
+        NetEvent::SessionUp { peer, .. } => {
             dev.engine.set_time(t);
             let out = dev.with_daemon(|dm, e| dm.peer_up(peer, e));
             vec![Emission::Updates(out)]
         }
-        Work::SessionDown { peer } => {
+        NetEvent::SessionDown { peer, .. } => {
             dev.engine.set_time(t);
             let out = dev.with_daemon(|dm, e| dm.peer_down(peer, e));
             vec![Emission::Updates(out)]
         }
-        Work::RouteRefresh { on } => {
+        NetEvent::RouteRefreshRequest { on, .. } => {
             // The establishment check must run here, not in the pre-pass: an
             // earlier event in the same window may have dropped the session.
             if !dev.daemon.is_established(on) {
@@ -666,19 +688,19 @@ fn run_work_inner(
                 vec![Emission::Updates(vec![(on, refresh)])]
             }
         }
-        Work::RemovePeer { peer } => {
+        NetEvent::RemovePeer { peer, .. } => {
             dev.engine.set_time(t);
             dev.sessions.remove(&peer);
             let out = dev.with_daemon(|dm, e| dm.remove_peer(peer, e));
             vec![Emission::Updates(out)]
         }
-        Work::InstallRpa { doc } => {
+        NetEvent::InstallRpa { doc, .. } => {
             dev.engine.set_time(t);
             // Dirty-prefix frontier: combine the scopes of the incoming
             // document and (on a replace) the one it displaces — the old
             // document's prefixes must re-decide too, since its effect is
             // being withdrawn.
-            let scope = if cfg.incremental {
+            let scope = if ctx.cfg.incremental {
                 let replaced = dev.engine.document(doc.name()).cloned();
                 match replaced {
                     Some(old) => rpa_scope(dev, &[&old, doc.as_ref()]),
@@ -689,16 +711,16 @@ fn run_work_inner(
             };
             match dev.engine.install_or_replace(*doc) {
                 Ok(()) => {
-                    let out = reevaluate_scoped(dev, scope, counters);
+                    let out = reevaluate_scoped(dev, scope, ctx.counters);
                     vec![Emission::Updates(out)]
                 }
                 Err(_) => {
-                    counters.rpa_failures.inc();
+                    ctx.counters.rpa_failures.inc();
                     Vec::new()
                 }
             }
         }
-        Work::RemoveRpa { name } => {
+        NetEvent::RemoveRpa { name, .. } => {
             dev.engine.set_time(t);
             // Scope must come from the document *before* removal — after it,
             // the engine no longer knows which prefixes it governed.
@@ -707,7 +729,7 @@ fn run_work_inner(
             // the filter had evicted come back via the refresh requests
             // emitted below. Only time-joined prefixes can flip right now,
             // which is exactly `rpa_scope` over an empty document set.
-            let scope = if cfg.incremental {
+            let scope = if ctx.cfg.incremental {
                 match dev.engine.document(&name) {
                     Some(RpaDocument::RouteFilter(rf)) if !rf.constrains_egress() => {
                         rpa_scope(dev, &[])
@@ -725,7 +747,7 @@ fn run_work_inner(
             match dev.engine.remove(&name) {
                 Ok(removed) => {
                     let peers = dev.daemon.peer_ids();
-                    let out = reevaluate_scoped(dev, scope, counters);
+                    let out = reevaluate_scoped(dev, scope, ctx.counters);
                     let mut emissions = vec![Emission::Updates(out)];
                     if matches!(removed, centralium_rpa::RpaDocument::RouteFilter(_)) {
                         emissions.push(Emission::RefreshRequests(
@@ -743,29 +765,29 @@ fn run_work_inner(
                     emissions
                 }
                 Err(_) => {
-                    counters.rpa_failures.inc();
+                    ctx.counters.rpa_failures.inc();
                     Vec::new()
                 }
             }
         }
-        Work::Originate { prefix, attrs } => {
+        NetEvent::Originate { prefix, attrs, .. } => {
             dev.engine.set_time(t);
             let out = dev.with_daemon(|dm, e| dm.originate(prefix, attrs, e));
             vec![Emission::Updates(out)]
         }
-        Work::WithdrawOrigin { prefix } => {
+        NetEvent::WithdrawOrigin { prefix, .. } => {
             dev.engine.set_time(t);
             let out = dev.with_daemon(|dm, e| dm.withdraw_origin(prefix, e));
             vec![Emission::Updates(out)]
         }
-        Work::SetExportPolicy { policy } => {
+        NetEvent::SetExportPolicy { policy, .. } => {
             let peers = dev.daemon.peer_ids();
             let composed: Vec<(PeerId, Arc<Policy>)> = peers
                 .iter()
                 .map(|&peer| {
                     let base = SimNet::base_export_policy_for(
-                        topo,
-                        cfg.valley_free_policies,
+                        ctx.topo,
+                        ctx.cfg.valley_free_policies,
                         dev.id,
                         peer,
                     );
@@ -788,7 +810,7 @@ fn run_work_inner(
                 for (peer, p) in composed {
                     dm.set_export_policy(peer, p);
                 }
-                if cfg.incremental {
+                if ctx.cfg.incremental {
                     // An export-policy swap changes no RPA state, so the
                     // eviction invariant holds and `reevaluate_all`'s purge
                     // would be a no-op — skip the O(RIB) purge scan and
@@ -803,7 +825,7 @@ fn run_work_inner(
             });
             vec![Emission::Updates(out)]
         }
-        Work::AgentRestart => {
+        NetEvent::AgentRestart { .. } => {
             dev.engine.set_time(t);
             let installed: Vec<String> = dev
                 .engine
@@ -817,11 +839,12 @@ fn run_work_inner(
             let out = dev.with_daemon(|dm, e| dm.reevaluate_all(e));
             vec![Emission::Updates(out)]
         }
-        Work::Reevaluate => {
+        NetEvent::Reevaluate { .. } => {
             dev.engine.set_time(t);
             let out = dev.with_daemon(|dm, e| dm.reevaluate_all(e));
             vec![Emission::Updates(out)]
         }
+        NetEvent::DeliverBatch { .. } => unreachable!("the pre-pass resolves batches to Deliver"),
     }
 }
 
@@ -974,41 +997,20 @@ fn prov_state(dev: &SimDevice, prefix: Prefix) -> ProvState {
     }
 }
 
-/// Append one provenance record per observable change an event produced on
-/// `dev` for the traced prefix.
-fn record_prov_deltas(
-    log: &ProvenanceLog,
-    t: SimTime,
-    dev: DeviceId,
-    before: &ProvState,
-    after: &ProvState,
-) {
-    if before.rib_in != after.rib_in {
-        log.append(
-            t,
-            dev.0,
-            ProvenanceKind::AdjRibInChanged,
-            None,
-            format!("{} -> {} routes", before.rib_in, after.rib_in),
-        );
+/// One provenance record per observable change an event produced on `dev`
+/// for the traced prefix, pushed onto `out`.
+fn prov_deltas(out: &mut Vec<ProvRecord>, t: SimTime, dev: DeviceId, a: &ProvState, b: &ProvState) {
+    if a.rib_in != b.rib_in {
+        let detail = format!("{} -> {} routes", a.rib_in, b.rib_in);
+        out.push((t, dev, ProvenanceKind::AdjRibInChanged, None, detail));
     }
-    if before.decision != after.decision {
-        log.append(
-            t,
-            dev.0,
-            ProvenanceKind::DecisionFlip,
-            None,
-            format!("{} -> {}", before.decision, after.decision),
-        );
+    if a.decision != b.decision {
+        let detail = format!("{} -> {}", a.decision, b.decision);
+        out.push((t, dev, ProvenanceKind::DecisionFlip, None, detail));
     }
-    if before.fib != after.fib {
-        log.append(
-            t,
-            dev.0,
-            ProvenanceKind::FibDelta,
-            None,
-            format!("{} -> {}", before.fib, after.fib),
-        );
+    if a.fib != b.fib {
+        let detail = format!("{} -> {}", a.fib, b.fib);
+        out.push((t, dev, ProvenanceKind::FibDelta, None, detail));
     }
 }
 
@@ -1039,12 +1041,12 @@ struct NetCounters {
     rpc_duplicated: Counter,
     agent_restarts: Counter,
     /// Wall-clock µs spent in the windowed engine's serial pre-pass.
-    phase_pre_us: Counter,
-    /// Wall-clock µs spent in the windowed engine's parallel worker phase.
-    phase_work_us: Counter,
+    phase_pre_us: MicrosCounter,
+    /// Wall-clock µs spent in the windowed engine's device-work phase.
+    phase_work_us: MicrosCounter,
     /// Wall-clock µs spent in the windowed engine's serial merge phase.
-    phase_merge_us: Counter,
-    /// Number of event windows the parallel engine processed.
+    phase_merge_us: MicrosCounter,
+    /// Number of event windows the engine processed.
     windows: Counter,
     /// Windows whose job count was too small to pay for thread spawn and
     /// ran inline on the coordinating thread instead.
@@ -1098,9 +1100,9 @@ impl NetCounters {
             rpc_dropped: m.counter("simnet.rpc_dropped"),
             rpc_duplicated: m.counter("simnet.rpc_duplicated"),
             agent_restarts: m.counter("simnet.agent_restarts"),
-            phase_pre_us: m.counter("simnet.phase.pre_us"),
-            phase_work_us: m.counter("simnet.phase.work_us"),
-            phase_merge_us: m.counter("simnet.phase.merge_us"),
+            phase_pre_us: MicrosCounter::new(m.counter("simnet.phase.pre_us")),
+            phase_work_us: MicrosCounter::new(m.counter("simnet.phase.work_us")),
+            phase_merge_us: MicrosCounter::new(m.counter("simnet.phase.merge_us")),
             windows: m.counter("simnet.phase.windows"),
             inline_windows: m.counter("simnet.phase.inline_windows"),
             window_jobs: m.log_histogram("simnet.window.jobs"),
@@ -1117,15 +1119,26 @@ impl NetCounters {
     }
 }
 
-/// Wall-clock time the serial engine spent in each of the three pipeline
-/// stages, accumulated in nanoseconds across a run and flushed to the
-/// µs-granularity `simnet.phase.*` counters once at the end — per-event
-/// flushing would round every sub-µs event down to zero.
-#[derive(Debug, Default)]
-struct PhaseNanos {
-    pre: u64,
-    work: u64,
-    merge: u64,
+/// A µs wall-clock counter fed one window at a time. The sub-µs remainder
+/// carries into the next window, so a run of one-event windows adds up
+/// instead of rounding each window down to zero. Only the coordinating
+/// thread writes it.
+#[derive(Debug)]
+struct MicrosCounter(Counter, AtomicU64);
+
+impl MicrosCounter {
+    fn new(us: Counter) -> Self {
+        MicrosCounter(us, AtomicU64::new(0))
+    }
+
+    /// Add the time since `started`; returns now, the next phase's start.
+    fn add_since(&self, started: Instant) -> Instant {
+        let now = Instant::now();
+        let ns = self.1.load(Ordering::Relaxed) + (now - started).as_nanos() as u64;
+        self.0.add(ns / 1_000);
+        self.1.store(ns % 1_000, Ordering::Relaxed);
+        now
+    }
 }
 
 /// Bucket bounds (ms) for per-prefix convergence latency.
@@ -1152,10 +1165,13 @@ pub struct SimNet {
     /// lazily; only written while span tracing is enabled.
     busy: DenseMap<Counter>,
     /// Armed route-provenance trace: the prefix under observation and the
-    /// log causal steps append to. Like journaling, forces the serial
-    /// engine (records are appended during device processing, which would
-    /// interleave nondeterministically across workers).
+    /// log causal steps append to. Windows buffer their records per job
+    /// and the merge appends them in pop order, so the log is the same at
+    /// any worker count.
     provenance: Option<(Prefix, Arc<ProvenanceLog>)>,
+    /// Provenance records the pre-pass of the event being popped produced,
+    /// taken into its window slot before the next pop.
+    prov_pending: Vec<ProvRecord>,
     /// When each prefix was first originated (for convergence latency).
     origin_time: HashMap<Prefix, SimTime>,
     /// Last time an UPDATE carrying each originated prefix was delivered.
@@ -1171,7 +1187,7 @@ pub struct SimNet {
     /// scheduled delivery time.
     open_batch: HashMap<(DeviceId, DeviceId, u8), (u64, SimTime)>,
     /// Monotonic batch-id allocator. Only bumped during emission replay
-    /// (serial in both engines), so ids are engine-independent.
+    /// (on the coordinating thread), so ids do not depend on worker count.
     next_batch_id: u64,
     /// Largest routing-information count (announcements + withdrawals)
     /// observed in a single delivered batch.
@@ -1231,6 +1247,7 @@ impl SimNet {
             churn: DenseMap::new(),
             busy: DenseMap::new(),
             provenance: None,
+            prov_pending: Vec::new(),
             origin_time: HashMap::new(),
             last_update: HashMap::new(),
             originators: HashMap::new(),
@@ -1274,9 +1291,11 @@ impl SimNet {
     /// steps will append to. Every UPDATE/withdraw arrival carrying the
     /// prefix, every RPA install/remove, and every Adj-RIB-In change,
     /// decision flip, and FIB delta it produces is recorded with its
-    /// simulated time and device. Opt-in and **serial**: like journaling,
-    /// an armed trace forces the serial convergence engine, so arm it for
-    /// diagnosis runs, not benchmarks.
+    /// simulated time and device. Opt-in, and byte-identical at every
+    /// worker count: records are buffered per window job and appended in
+    /// global pop order. Capturing the prefix's state around every event
+    /// costs two string renderings per event, so arm it for diagnosis runs,
+    /// not benchmarks.
     pub fn trace_provenance(&mut self, prefix: Prefix) -> Arc<ProvenanceLog> {
         let log = Arc::new(ProvenanceLog::new(prefix.to_string()));
         self.provenance = Some((prefix, Arc::clone(&log)));
@@ -1396,9 +1415,11 @@ impl SimNet {
     fn export_to_up() -> Arc<Policy> {
         static SHARED: OnceLock<Arc<Policy>> = OnceLock::new();
         Arc::clone(SHARED.get_or_init(|| {
-            Arc::new(Policy::accept_all().rule(PolicyRule::reject(
-                MatchExpr::community(well_known::FROM_UPSTREAM),
-            )))
+            Arc::new(
+                Policy::accept_all().rule(PolicyRule::reject(MatchExpr::community(
+                    well_known::FROM_UPSTREAM,
+                ))),
+            )
         }))
     }
 
@@ -1568,18 +1589,12 @@ impl SimNet {
                     let t = self.now;
                     if let Some((dev_id, work)) = self.prepare(t, NetEvent::SessionUp { dev, peer })
                     {
-                        let Self {
-                            devices,
-                            counters,
-                            topo,
-                            cfg,
-                            ..
-                        } = self;
+                        let (devices, ctx) = self.split_for_work(None);
                         let d = devices
                             .get_mut(dev_id)
                             .expect("prepared event targets a live device");
-                        let emissions = run_work(d, t, work, counters, topo, cfg);
-                        self.replay(dev_id, emissions);
+                        let out = run_work(d, t, work, ctx);
+                        self.replay(dev_id, out.emissions);
                     }
                 }
             }
@@ -1969,78 +1984,10 @@ impl SimNet {
 
     /// Process a single event. Returns `false` when the queue is empty.
     ///
-    /// Serial engine, but built from the same pre-pass / device-work /
-    /// emission-replay stages as the parallel engine — one code path, so
-    /// the two cannot drift apart semantically.
+    /// A window with a budget of one event, run inline: the event-at-a-time
+    /// reference every worker count is proven bit-identical to.
     pub fn step(&mut self) -> bool {
-        self.step_impl(None)
-    }
-
-    /// [`step`](Self::step), optionally accumulating per-phase wall time.
-    ///
-    /// The serial engine's events are sub-microsecond, so flushing to the
-    /// µs-granularity `simnet.phase.*` counters per event would truncate
-    /// everything to zero (which is exactly what `bench_convergence`'s
-    /// `workers: 1` rows used to report). The accumulator stays in
-    /// nanoseconds; [`flush_serial_phases`](Self::flush_serial_phases)
-    /// converts once per run.
-    fn step_impl(&mut self, mut phases: Option<&mut PhaseNanos>) -> bool {
-        let pre_start = phases.as_ref().map(|_| std::time::Instant::now());
-        let Some((t, ev)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(t >= self.now, "time must be monotonic");
-        self.now = t;
-        self.telemetry.set_now(t);
-        let slot = self.prepare(t, ev);
-        if let (Some(acc), Some(started)) = (phases.as_deref_mut(), pre_start) {
-            acc.pre += started.elapsed().as_nanos() as u64;
-        }
-        if let Some((dev_id, work)) = slot {
-            let work_start = phases.as_ref().map(|_| std::time::Instant::now());
-            let prov = self.provenance.clone();
-            let traced = span::tracing_enabled();
-            let Self {
-                devices,
-                counters,
-                topo,
-                cfg,
-                ..
-            } = self;
-            let dev = devices
-                .get_mut(dev_id)
-                .expect("prepared event targets a live device");
-            let before = prov.as_ref().map(|(p, _)| prov_state(dev, *p));
-            let started = traced.then(std::time::Instant::now);
-            let emissions = run_work(dev, t, work, counters, topo, cfg);
-            if let (Some((p, log)), Some(before)) = (&prov, &before) {
-                let after = prov_state(dev, *p);
-                record_prov_deltas(log, t, dev_id, before, &after);
-            }
-            if let Some(started) = started {
-                self.note_busy(dev_id, started.elapsed().as_nanos() as u64);
-            }
-            let merge_start = phases.as_ref().map(|_| std::time::Instant::now());
-            self.replay(dev_id, emissions);
-            if let Some(acc) = phases {
-                if let (Some(ws), Some(ms)) = (work_start, merge_start) {
-                    acc.work += ms.duration_since(ws).as_nanos() as u64;
-                    acc.merge += ms.elapsed().as_nanos() as u64;
-                }
-            }
-        }
-        true
-    }
-
-    /// Fold a serial run's accumulated phase nanoseconds into the
-    /// µs-granularity phase counters shared with the windowed engine.
-    fn flush_serial_phases(&self, acc: &PhaseNanos) {
-        if acc.pre == 0 && acc.work == 0 && acc.merge == 0 {
-            return;
-        }
-        self.counters.phase_pre_us.add(acc.pre / 1_000);
-        self.counters.phase_work_us.add(acc.work / 1_000);
-        self.counters.phase_merge_us.add(acc.merge / 1_000);
+        self.step_window(1, 1, SimTime::MAX) > 0
     }
 
     /// Replay worker emissions through the scheduling path (`emit`,
@@ -2064,9 +2011,11 @@ impl SimNet {
 
     /// Run until the queue drains or the event cap hits.
     ///
-    /// With [`SimConfig::parallel_workers`] above one (and no journal
-    /// attached), events are processed by the windowed parallel engine —
-    /// **bit-identical** to the serial engine. The determinism argument:
+    /// Events run in causality-safe windows ([`step_window`]): inline on
+    /// this thread at `workers: 1` or below the dispatch gate, on the
+    /// persistent sharded worker pool otherwise. Every worker count is
+    /// **bit-identical** to a [`step`](Self::step) loop. The determinism
+    /// argument:
     ///
     /// 1. Every message scheduled during a run lands at least
     ///    `base_latency_us` after the event that produced it, so all events
@@ -2086,26 +2035,25 @@ impl SimNet {
     ///    return ordered emission lists which the merge phase replays
     ///    through the normal `emit` path in the original global pop order,
     ///    reproducing every jitter/fault/shuffle draw, FIFO clamp and queue
-    ///    sequence number of the serial engine.
+    ///    sequence number of the event-at-a-time loop.
+    /// 4. Provenance records are returned with each job's emissions and
+    ///    appended in the same pop order. The journal cannot be buffered
+    ///    that way (the daemon and RPA engine stamp it from the shared
+    ///    telemetry clock during device work), so with the journal on every
+    ///    window holds one event.
     ///
-    /// Journaling forces the serial engine: journal records are stamped and
-    /// appended during device processing, which would interleave
-    /// nondeterministically across workers.
+    /// [`step_window`]: Self::step_window
     pub fn run_until_quiescent(&mut self) -> ConvergenceReport {
         let workers = self.effective_workers();
-        let parallel =
-            workers > 1 && !self.telemetry.journal_enabled() && self.provenance.is_none();
         self.telemetry
             .metrics()
             .gauge("core.parallel_workers")
-            .set(if parallel { workers as i64 } else { 1 });
+            .set(workers as i64);
         let mut sp = span::span("simnet", "converge");
-        sp.arg("workers", if parallel { workers as u64 } else { 1 });
+        sp.arg("workers", workers as u64);
         let mut n = 0u64;
-        let mut serial_phases = PhaseNanos::default();
         while !self.queue.is_empty() {
             if n >= self.cfg.max_events {
-                self.flush_serial_phases(&serial_phases);
                 sp.arg("events", n);
                 return ConvergenceReport {
                     converged: false,
@@ -2113,14 +2061,8 @@ impl SimNet {
                     finished_at: self.now,
                 };
             }
-            if parallel {
-                n += self.step_window(workers, self.cfg.max_events - n);
-            } else {
-                self.step_impl(Some(&mut serial_phases));
-                n += 1;
-            }
+            n += self.step_window(workers, self.cfg.max_events - n, SimTime::MAX);
         }
-        self.flush_serial_phases(&serial_phases);
         self.observe_quiescence();
         sp.arg("events", n);
         ConvergenceReport {
@@ -2128,6 +2070,27 @@ impl SimNet {
             events_processed: n,
             finished_at: self.now,
         }
+    }
+
+    /// The device arena, and the read-only context jobs on it run against.
+    fn split_for_work(
+        &mut self,
+        traced: Option<Prefix>,
+    ) -> (&mut DenseMap<SimDevice>, WorkCtx<'_>) {
+        let Self {
+            devices,
+            counters,
+            topo,
+            cfg,
+            ..
+        } = self;
+        let ctx = WorkCtx {
+            counters,
+            topo,
+            cfg,
+            traced,
+        };
+        (devices, ctx)
     }
 
     /// Resolved worker count: `parallel_workers`, with `0` meaning one per
@@ -2168,10 +2131,12 @@ impl SimNet {
         }
     }
 
-    /// Process one causality-safe window of events (at most `budget`) with
-    /// the three-phase pipeline: serial pre-pass (global bookkeeping, in pop
-    /// order), parallel per-device processing, serial merge (emission
-    /// replay, in pop order). Returns the number of events consumed.
+    /// Process one causality-safe window of events — at most `budget`, all
+    /// before `limit` — with the three-phase pipeline: serial pre-pass
+    /// (global bookkeeping, in pop order), per-device processing (on the
+    /// pool when `workers > 1` and the window passes the dispatch gate,
+    /// inline otherwise), serial merge (provenance and emission replay, in
+    /// pop order). Returns the number of events consumed.
     ///
     /// ## Window width
     ///
@@ -2180,8 +2145,8 @@ impl SimNet {
     /// coalescing is on and session handshakes are off — the benchmark
     /// configuration — fresh coalesced batches are scheduled a full `3·L`
     /// out, so the window stretches to `[t0, t0 + 3L)` and carries roughly
-    /// three times the jobs per dispatch. Three *cuts* keep the wide window
-    /// byte-identical to serial:
+    /// three times the jobs per dispatch. Two *cuts* keep the wide window
+    /// byte-identical to the event-at-a-time loop:
     ///
     /// * an event whose replay schedules follow-ups one `L` out (refresh
     ///   requests after a Route Filter removal; control-message replies)
@@ -2190,13 +2155,22 @@ impl SimNet {
     /// * a batch delivery is cut *out* of the window when any device that
     ///   already holds an in-window job is its emitter and the delivery is
     ///   at least `L` after that job — the job's replayed output would have
-    ///   merged into the batch serially (`emit_coalesced` merges into
-    ///   batches at least one `L` away), but the windowed pre-pass has
+    ///   merged into the batch one event at a time (`emit_coalesced` merges
+    ///   into batches at least one `L` away), but the windowed pre-pass has
     ///   already retired the payload. Deferring the delivery to the next
-    ///   window restores the serial merge.
-    fn step_window(&mut self, workers: usize, budget: u64) -> u64 {
+    ///   window restores that merge.
+    ///
+    /// With the journal on, the budget is one event: the daemon and RPA
+    /// engine stamp journal records from the shared telemetry clock during
+    /// device work, which the pre-pass sets per popped event.
+    fn step_window(&mut self, workers: usize, budget: u64, limit: SimTime) -> u64 {
         let Some(t0) = self.queue.peek_time() else {
             return 0;
+        };
+        let budget = if self.telemetry.journal_enabled() {
+            budget.min(1)
+        } else {
+            budget
         };
         let min_latency = self.cfg.base_latency_us.max(1);
         let wide = self.cfg.coalesce_updates && !self.cfg.handshake_sessions;
@@ -2204,15 +2178,16 @@ impl SimNet {
             t0 + (3 * self.cfg.base_latency_us).max(1)
         } else {
             t0 + min_latency
-        };
+        }
+        .min(limit);
 
         // Phase 1 — serial pre-pass: pop the window, run the global-state
         // side of each event (counters, churn, origination bookkeeping,
-        // device-existence checks) and build per-device job lists.
-        let pre_start = std::time::Instant::now();
+        // device-existence checks, provenance arrivals) and build
+        // per-device job lists.
+        let pre_start = Instant::now();
         let sp_pre = span::span("simnet", "window.pre");
-        let mut popped: Vec<(SimTime, Option<(DeviceId, usize)>)> = Vec::new();
-        let mut jobs: BTreeMap<DeviceId, Vec<(SimTime, Work)>> = BTreeMap::new();
+        let mut popped: Vec<Popped> = Vec::new();
         let mut first_job_t: HashMap<DeviceId, SimTime> = HashMap::new();
         let mut cut = false;
         while !cut && (popped.len() as u64) < budget {
@@ -2235,80 +2210,91 @@ impl SimNet {
             }
             let (t, ev) = self.queue.pop().expect("peeked event");
             debug_assert!(t >= self.now, "time must be monotonic");
+            self.now = t;
+            self.telemetry.set_now(t);
             if wide {
                 cut = matches!(ev, NetEvent::RemoveRpa { .. } | NetEvent::DeliverCtl { .. });
             }
-            let slot = self.prepare(t, ev).map(|(dev_id, work)| {
-                let list = jobs.entry(dev_id).or_default();
-                list.push((t, work));
-                first_job_t.entry(dev_id).or_insert(t);
-                (dev_id, list.len() - 1)
+            let (dev, ev) = self.prepare(t, ev).unzip();
+            if let (true, Some(dev)) = (wide && budget > 1, dev) {
+                first_job_t.entry(dev).or_insert(t);
+            }
+            popped.push(Popped {
+                t,
+                dev,
+                ev,
+                prov: std::mem::take(&mut self.prov_pending),
+                out: JobOut::default(),
             });
-            popped.push((t, slot));
         }
         drop(sp_pre);
-        self.counters
-            .phase_pre_us
-            .add(pre_start.elapsed().as_micros() as u64);
+        let work_start = self.counters.phase_pre_us.add_since(pre_start);
 
         // Phase 2 — per-device processing over disjoint `&mut SimDevice`,
         // dispatched to the persistent sharded pool when the window carries
         // enough work to pay for the handoff; inline otherwise (identical
-        // output either way; only wall-clock differs).
-        let work_start = std::time::Instant::now();
+        // output either way; only wall-clock differs). Both walk the
+        // window's jobs, never the whole device arena.
         let mut sp_work = span::span("simnet", "window.work");
         let traced = span::tracing_enabled();
-        let total_jobs: usize = jobs.values().map(Vec::len).sum();
-        let device_count = jobs.len();
+        // (device, pop index) per job: sorted, each device's jobs are
+        // contiguous, in ascending device id and pop order.
+        let mut order: Vec<(DeviceId, usize)> = popped
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| Some((p.dev?, i)))
+            .collect();
+        order.sort_unstable();
+        let same_device = |a: &(DeviceId, usize), b: &(DeviceId, usize)| a.0 == b.0;
+        let total_jobs = order.len();
         self.counters.window_jobs.observe(total_jobs as u64);
-        self.ensure_shard_map(workers);
         // Shard census: which shards have work this window, and how much.
         let mut shard_loads: BTreeMap<usize, usize> = BTreeMap::new();
-        {
+        if workers > 1 {
+            self.ensure_shard_map(workers);
             let shard_map = self.shard_map.as_ref().expect("just built");
-            for (id, list) in &jobs {
-                *shard_loads.entry(shard_map.shard_of(*id)).or_default() += list.len();
+            for group in order.chunk_by(same_device) {
+                *shard_loads
+                    .entry(shard_map.shard_of(group[0].0))
+                    .or_default() += group.len();
             }
         }
-        let dispatch = match self.cfg.min_dispatch_jobs {
-            Some(min) => !jobs.is_empty() && total_jobs >= min,
-            // Auto gate: enough jobs to amortize the channel handoff, work
-            // on at least two shards (one busy shard parallelizes nothing),
-            // and a host that can actually run workers side by side.
-            None => {
-                total_jobs >= 2 * MIN_JOBS_PER_WORKER
-                    && shard_loads.len() >= 2
-                    && self.host_cores > 1
-            }
-        };
+        let dispatch = workers > 1
+            && match self.cfg.min_dispatch_jobs {
+                Some(min) => total_jobs > 0 && total_jobs >= min,
+                // Auto gate: enough jobs to amortize the channel handoff,
+                // work on at least two shards (one busy shard parallelizes
+                // nothing), and a host that can actually run workers side by
+                // side.
+                None => {
+                    total_jobs >= 2 * MIN_JOBS_PER_WORKER
+                        && shard_loads.len() >= 2
+                        && self.host_cores > 1
+                }
+            };
         sp_work.arg("jobs", total_jobs as u64);
-        sp_work.arg("devices", device_count as u64);
+        sp_work.arg("devices", order.chunk_by(same_device).count() as u64);
         sp_work.arg("shards", shard_loads.len() as u64);
         sp_work.arg("dispatched", dispatch as u64);
+        let prov_prefix = self.provenance.as_ref().map(|(p, _)| *p);
         let mut device_busy: Vec<(DeviceId, u64)> = Vec::new();
-        let mut outputs: BTreeMap<DeviceId, Vec<Vec<Emission>>> = BTreeMap::new();
         if !dispatch {
             self.counters.inline_windows.inc();
-            let Self {
-                devices,
-                counters,
-                topo,
-                cfg,
-                ..
-            } = self;
-            for (id, dev) in devices.iter_mut() {
-                let Some(list) = jobs.remove(&id) else {
-                    continue;
-                };
-                let dev_start = traced.then(std::time::Instant::now);
-                let mut outs = Vec::with_capacity(list.len());
-                for (t, work) in list {
-                    outs.push(run_work(dev, t, work, counters, topo, cfg));
+            let (devices, ctx) = self.split_for_work(prov_prefix);
+            for group in order.chunk_by(same_device) {
+                let id = group[0].0;
+                let dev = devices
+                    .get_mut(id)
+                    .expect("prepared jobs target live devices");
+                let dev_start = traced.then(Instant::now);
+                for &(_, i) in group {
+                    let p = &mut popped[i];
+                    let ev = p.ev.take().expect("each job runs once");
+                    p.out = run_work(dev, p.t, ev, ctx);
                 }
                 if let Some(started) = dev_start {
                     device_busy.push((id, started.elapsed().as_nanos() as u64));
                 }
-                outputs.insert(id, outs);
             }
         } else {
             self.counters.shard_dispatches.inc();
@@ -2331,17 +2317,27 @@ impl SimNet {
             // Group each shard's device slots onto its worker (shard s →
             // worker s mod pool size), devices in id order within a batch.
             let mut per_worker: BTreeMap<usize, Vec<PoolSlot>> = BTreeMap::new();
-            for (id, dev) in devices.iter_mut() {
-                let Some(list) = jobs.remove(&id) else {
-                    continue;
-                };
+            let mut devs = devices.get_many_mut(order.chunk_by(same_device).map(|g| g[0].0));
+            for group in order.chunk_by(same_device) {
+                let id = group[0].0;
+                let dev = devs
+                    .next()
+                    .flatten()
+                    .expect("prepared jobs target live devices");
+                let jobs = group
+                    .iter()
+                    .map(|&(_, i)| {
+                        let ev = popped[i].ev.take().expect("each job runs once");
+                        (i, popped[i].t, ev)
+                    })
+                    .collect();
                 per_worker
                     .entry(shard_map.shard_of(id) % pool_workers)
                     .or_default()
                     .push(PoolSlot {
                         id,
                         dev: dev as *mut SimDevice,
-                        jobs: list,
+                        jobs,
                     });
             }
             let batch: Vec<(usize, PoolJob)> = per_worker
@@ -2354,6 +2350,7 @@ impl SimNet {
                             counters: counters as *const NetCounters,
                             topo: topo as *const Topology,
                             cfg: cfg as *const SimConfig,
+                            traced: prov_prefix,
                         },
                     )
                 })
@@ -2370,11 +2367,11 @@ impl SimNet {
                         counters
                             .worker_idle_ns
                             .observe(wall_ns.saturating_sub(done.busy_ns));
-                        for (id, outs, busy_ns) in done.slots {
-                            if traced {
-                                device_busy.push((id, busy_ns));
-                            }
-                            outputs.insert(id, outs);
+                        for (i, out) in done.outs {
+                            popped[i].out = out;
+                        }
+                        if traced {
+                            device_busy.extend(done.device_busy);
                         }
                     }
                     Err(payload) => panic_payload = Some(payload),
@@ -2387,222 +2384,112 @@ impl SimNet {
                 std::panic::resume_unwind(payload);
             }
         }
-        debug_assert!(jobs.is_empty(), "every job targets a live device");
         drop(sp_work);
-        self.counters
-            .phase_work_us
-            .add(work_start.elapsed().as_micros() as u64);
+        let merge_start = self.counters.phase_work_us.add_since(work_start);
         for (id, busy_ns) in device_busy {
             self.note_busy(id, busy_ns);
         }
 
-        // Phase 3 — serial merge: replay emissions in the original global
-        // pop order, advancing the clock exactly as the serial engine does.
-        let merge_start = std::time::Instant::now();
+        // Phase 3 — serial merge: append provenance and replay emissions in
+        // the original global pop order, advancing the clock exactly as the
+        // event-at-a-time loop does.
         let sp_merge = span::span("simnet", "window.merge");
-        for (t, slot) in &popped {
-            self.now = *t;
-            self.telemetry.set_now(*t);
-            let Some((dev_id, idx)) = slot else {
-                continue;
-            };
-            let emissions =
-                std::mem::take(&mut outputs.get_mut(dev_id).expect("device has outputs")[*idx]);
-            self.replay(*dev_id, emissions);
+        let log = self.provenance.as_ref().map(|(_, log)| Arc::clone(log));
+        let consumed = popped.len() as u64;
+        for p in popped {
+            self.now = p.t;
+            self.telemetry.set_now(p.t);
+            if let Some(log) = &log {
+                for (t, dev, kind, from, detail) in p.prov.into_iter().chain(p.out.prov) {
+                    log.append(t, dev.0, kind, from, detail);
+                }
+            }
+            if let Some(dev) = p.dev {
+                self.replay(dev, p.out.emissions);
+            }
         }
         drop(sp_merge);
-        self.counters
-            .phase_merge_us
-            .add(merge_start.elapsed().as_micros() as u64);
+        self.counters.phase_merge_us.add_since(merge_start);
         self.counters.windows.inc();
-        popped.len() as u64
+        consumed
     }
 
-    /// The serial pre-pass of one windowed event: device-existence check,
-    /// global counters and bookkeeping (using the event's own timestamp),
-    /// returning the device-local remainder as a [`Work`] job — or `None`
-    /// when the event is a no-op (target device gone). Every device that
-    /// receives a job is recorded in the touched set (both the serial and
-    /// windowed engines route through here).
-    fn prepare(&mut self, t: SimTime, ev: NetEvent) -> Option<(DeviceId, Work)> {
-        let slot = self.prepare_inner(t, ev);
-        if let Some((dev, _)) = &slot {
-            self.touched.insert(*dev);
+    /// The serial pre-pass of one windowed event: retire a coalesced batch's
+    /// side-table state, check the target device exists, and run the global
+    /// counters and bookkeeping (using the event's own timestamp). Returns
+    /// the target and the event for its device-local remainder, with a batch
+    /// resolved to a plain `Deliver`, or `None` when the event is a no-op
+    /// (target device gone). Provenance arrivals and RPA applies for the
+    /// traced prefix go to `prov_pending`. Every device that receives a job
+    /// is recorded in the touched set.
+    fn prepare(&mut self, t: SimTime, mut ev: NetEvent) -> Option<(DeviceId, NetEvent)> {
+        let mut batched = false;
+        if let NetEvent::DeliverBatch { to, on, batch } = ev {
+            // Always retire the side-table state — even when the target
+            // device is gone, leaving the payload behind would leak and
+            // leaving the open-batch entry behind would merge future
+            // output into a batch that will never be delivered again.
+            let msg = self.batches.remove(&batch)?;
+            let key = (DeviceId(on.device()), to, on.session_index());
+            if self
+                .open_batch
+                .get(&key)
+                .is_some_and(|&(id, _)| id == batch)
+            {
+                self.open_batch.remove(&key);
+            }
+            ev = NetEvent::Deliver { to, on, msg };
+            batched = true;
         }
-        slot
-    }
-
-    fn prepare_inner(&mut self, t: SimTime, ev: NetEvent) -> Option<(DeviceId, Work)> {
-        match ev {
-            NetEvent::DeliverCtl { to, on, msg } => {
-                if !self.devices.contains_key(to) {
-                    return None;
+        let dev = ev.target();
+        if !self.devices.contains_key(dev) {
+            return None;
+        }
+        self.touched.insert(dev);
+        match &ev {
+            NetEvent::Deliver { on, msg, .. } => {
+                if batched {
+                    self.counters.batches_delivered.inc();
+                    let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
+                    self.max_batch_size = self.max_batch_size.max(size);
+                    self.counters.batch_routes.observe(size);
                 }
-                self.counters.session_events.inc();
-                Some((to, Work::Ctl { on, msg }))
+                self.note_delivery(t, dev, *on, msg);
             }
-            NetEvent::DeliverBatch { to, on, batch } => {
-                // Always retire the side-table state — even when the target
-                // device is gone, leaving the payload behind would leak and
-                // leaving the open-batch entry behind would merge future
-                // output into a batch that will never be delivered again.
-                let msg = self.batches.remove(&batch)?;
-                let key = (DeviceId(on.device()), to, on.session_index());
-                if let Some(&(id, _)) = self.open_batch.get(&key) {
-                    if id == batch {
-                        self.open_batch.remove(&key);
-                    }
-                }
-                if !self.devices.contains_key(to) {
-                    return None;
-                }
-                self.counters.messages_delivered.inc();
-                self.counters.batches_delivered.inc();
-                let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
-                self.max_batch_size = self.max_batch_size.max(size);
-                self.counters.batch_routes.observe(size);
-                self.counters.announcements.add(msg.announced.len() as u64);
-                self.counters.withdrawals.add(msg.withdrawn.len() as u64);
-                self.note_churn(to);
-                self.note_provenance_arrival(t, to, on, &msg);
-                if !self.origin_time.is_empty() {
-                    for (p, _) in &msg.announced {
-                        if self.origin_time.contains_key(p) {
-                            self.last_update.insert(*p, t);
-                        }
-                    }
-                    for p in &msg.withdrawn {
-                        if self.origin_time.contains_key(p) {
-                            self.last_update.insert(*p, t);
-                        }
-                    }
-                }
-                self.audit_wire(&msg);
-                Some((to, Work::Deliver { on, msg }))
+            NetEvent::DeliverCtl { .. } => self.counters.session_events.inc(),
+            NetEvent::SessionUp { peer, .. } => self.note_session_transition(dev, *peer, "up"),
+            NetEvent::SessionDown { peer, .. } => self.note_session_transition(dev, *peer, "down"),
+            NetEvent::RemovePeer { peer, .. } => {
+                self.note_session_transition(dev, *peer, "removed")
             }
-            NetEvent::Deliver { to, on, msg } => {
-                if !self.devices.contains_key(to) {
-                    return None;
-                }
-                self.counters.messages_delivered.inc();
-                self.counters.announcements.add(msg.announced.len() as u64);
-                self.counters.withdrawals.add(msg.withdrawn.len() as u64);
-                self.note_churn(to);
-                self.note_provenance_arrival(t, to, on, &msg);
-                if !self.origin_time.is_empty() {
-                    for (p, _) in &msg.announced {
-                        if self.origin_time.contains_key(p) {
-                            self.last_update.insert(*p, t);
-                        }
-                    }
-                    for p in &msg.withdrawn {
-                        if self.origin_time.contains_key(p) {
-                            self.last_update.insert(*p, t);
-                        }
-                    }
-                }
-                self.audit_wire(&msg);
-                Some((to, Work::Deliver { on, msg }))
-            }
-            NetEvent::SessionUp { dev, peer } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, dev, peer, "up");
-                Some((dev, Work::SessionUp { peer }))
-            }
-            NetEvent::SessionDown { dev, peer } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, dev, peer, "down");
-                Some((dev, Work::SessionDown { peer }))
-            }
-            NetEvent::RouteRefreshRequest { to, on } => {
-                if !self.devices.contains_key(to) {
-                    return None;
-                }
-                Some((to, Work::RouteRefresh { on }))
-            }
-            NetEvent::RemovePeer { dev, peer } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, dev, peer, "removed");
-                Some((dev, Work::RemovePeer { peer }))
-            }
-            NetEvent::InstallRpa { dev, doc } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
+            NetEvent::InstallRpa { doc, .. } => {
                 self.counters.rpa_operations.inc();
-                if let Some((_, log)) = &self.provenance {
-                    log.append(
-                        t,
-                        dev.0,
-                        ProvenanceKind::RpaApplied,
-                        None,
-                        format!("install {}", doc.name()),
-                    );
-                }
-                Some((dev, Work::InstallRpa { doc }))
+                self.note_provenance(t, dev, ProvenanceKind::RpaApplied, None, || {
+                    format!("install {}", doc.name())
+                });
             }
-            NetEvent::RemoveRpa { dev, name } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
+            NetEvent::RemoveRpa { name, .. } => {
                 self.counters.rpa_operations.inc();
-                if let Some((_, log)) = &self.provenance {
-                    log.append(
-                        t,
-                        dev.0,
-                        ProvenanceKind::RpaApplied,
-                        None,
-                        format!("remove {name}"),
-                    );
-                }
-                Some((dev, Work::RemoveRpa { name }))
+                self.note_provenance(t, dev, ProvenanceKind::RpaApplied, None, || {
+                    format!("remove {name}")
+                });
             }
-            NetEvent::Originate { dev, prefix, attrs } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.originators.entry(prefix).or_default().insert(dev);
-                self.origin_time.entry(prefix).or_insert(t);
-                Some((dev, Work::Originate { prefix, attrs }))
+            NetEvent::Originate { prefix, .. } => {
+                self.originators.entry(*prefix).or_default().insert(dev);
+                self.origin_time.entry(*prefix).or_insert(t);
             }
-            NetEvent::WithdrawOrigin { dev, prefix } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                if let Some(set) = self.originators.get_mut(&prefix) {
+            NetEvent::WithdrawOrigin { prefix, .. } => {
+                if let Some(set) = self.originators.get_mut(prefix) {
                     set.remove(&dev);
                 }
-                Some((dev, Work::WithdrawOrigin { prefix }))
             }
-            NetEvent::SetExportPolicy { dev, policy } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                Some((dev, Work::SetExportPolicy { policy }))
-            }
-            NetEvent::AgentRestart { dev } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.counters.agent_restarts.inc();
-                Some((dev, Work::AgentRestart))
-            }
-            NetEvent::Reevaluate { dev } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                Some((dev, Work::Reevaluate))
-            }
+            NetEvent::AgentRestart { .. } => self.counters.agent_restarts.inc(),
+            NetEvent::DeliverBatch { .. }
+            | NetEvent::RouteRefreshRequest { .. }
+            | NetEvent::SetExportPolicy { .. }
+            | NetEvent::Reevaluate { .. } => {}
         }
+        Some((dev, ev))
     }
 
     /// Fold per-run observations into the metrics registry at quiescence:
@@ -2656,7 +2543,8 @@ impl SimNet {
         // capacity (not the momentary occupancy) is what a memory budget
         // must provision for.
         m.gauge("mem.adj_rib_in_bytes").set(rib_in_fp.bytes as i64);
-        m.gauge("mem.adj_rib_out_bytes").set(rib_out_fp.bytes as i64);
+        m.gauge("mem.adj_rib_out_bytes")
+            .set(rib_out_fp.bytes as i64);
         m.gauge("bgp.canonical_routes")
             .set((rib_in_fp.canonical_routes + rib_out_fp.canonical_routes) as i64);
         m.gauge("bgp.peer_refs")
@@ -2678,15 +2566,15 @@ impl SimNet {
     }
 
     /// Run events with time ≤ `deadline` (for snapshotting transitory
-    /// states). Returns the number of events processed.
+    /// states). Returns the number of events processed. Runs the same
+    /// windows as [`run_until_quiescent`](Self::run_until_quiescent), each
+    /// capped to end at the deadline.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        let workers = self.effective_workers();
+        let limit = deadline.saturating_add(1);
         let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
+        while self.queue.peek_time().is_some_and(|t| t < limit) {
+            n += self.step_window(workers, u64::MAX, limit);
         }
         self.now = self.now.max(deadline);
         n
@@ -2724,43 +2612,57 @@ impl SimNet {
         }
     }
 
-    /// Record UPDATE/withdraw arrivals carrying the traced prefix in the
-    /// provenance log. A no-op (one `Option` check) when no trace is armed.
-    fn note_provenance_arrival(&self, t: SimTime, to: DeviceId, on: PeerId, msg: &UpdateMessage) {
-        let Some((prefix, log)) = &self.provenance else {
-            return;
-        };
-        let from = Some(on.device());
-        if msg.announced.iter().any(|(p, _)| p == prefix) {
-            log.append(
-                t,
-                to.0,
-                ProvenanceKind::UpdateReceived,
-                from,
-                format!(
-                    "announcement from d{} session {}",
-                    on.device(),
-                    on.session_index()
-                ),
-            );
+    /// Bookkeeping shared by both UPDATE delivery shapes: counters, churn,
+    /// provenance arrivals, per-prefix last-update times and the wire audit.
+    fn note_delivery(&mut self, t: SimTime, to: DeviceId, on: PeerId, msg: &UpdateMessage) {
+        self.counters.messages_delivered.inc();
+        self.counters.announcements.add(msg.announced.len() as u64);
+        self.counters.withdrawals.add(msg.withdrawn.len() as u64);
+        self.note_churn(to);
+        if let Some((prefix, _)) = &self.provenance {
+            let (prefix, from) = (*prefix, Some(on.device()));
+            let what = |w| format!("{w} from d{} session {}", on.device(), on.session_index());
+            if msg.announced.iter().any(|(p, _)| *p == prefix) {
+                self.note_provenance(t, to, ProvenanceKind::UpdateReceived, from, || {
+                    what("announcement")
+                });
+            }
+            if msg.withdrawn.contains(&prefix) {
+                self.note_provenance(t, to, ProvenanceKind::WithdrawReceived, from, || {
+                    what("withdraw")
+                });
+            }
         }
-        if msg.withdrawn.contains(prefix) {
-            log.append(
-                t,
-                to.0,
-                ProvenanceKind::WithdrawReceived,
-                from,
-                format!(
-                    "withdraw from d{} session {}",
-                    on.device(),
-                    on.session_index()
-                ),
-            );
+        if !self.origin_time.is_empty() {
+            let prefixes = msg.announced.iter().map(|(p, _)| p).chain(&msg.withdrawn);
+            for p in prefixes {
+                if self.origin_time.contains_key(p) {
+                    self.last_update.insert(*p, t);
+                }
+            }
+        }
+        self.audit_wire(msg);
+    }
+
+    /// Hold a provenance record for the window merge. A no-op (one `Option`
+    /// check; `detail` is not rendered) when no trace is armed.
+    fn note_provenance(
+        &mut self,
+        t: SimTime,
+        dev: DeviceId,
+        kind: ProvenanceKind,
+        from: Option<u32>,
+        detail: impl FnOnce() -> String,
+    ) {
+        if self.provenance.is_some() {
+            self.prov_pending.push((t, dev, kind, from, detail()));
         }
     }
 
-    /// Journal a session lifecycle change (up / down / removed).
-    fn note_session_transition(telemetry: &Telemetry, dev: DeviceId, peer: PeerId, state: &str) {
+    /// Count and journal a session lifecycle change (up / down / removed).
+    fn note_session_transition(&self, dev: DeviceId, peer: PeerId, state: &str) {
+        self.counters.session_events.inc();
+        let telemetry = &self.telemetry;
         if telemetry.journal_enabled() {
             telemetry.record(
                 telemetry

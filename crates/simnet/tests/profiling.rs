@@ -8,8 +8,9 @@
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
 use centralium_simnet::{SimConfig, SimNet};
-use centralium_telemetry::{span, ProvenanceKind};
+use centralium_telemetry::{span, ProvenanceKind, ProvenanceLog};
 use centralium_topology::{build_fabric, FabricSpec};
+use std::sync::Arc;
 
 fn tiny_net(workers: usize) -> (SimNet, Vec<centralium_topology::DeviceId>) {
     let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
@@ -25,19 +26,36 @@ fn tracing_lock() -> std::sync::MutexGuard<'static, ()> {
     }
 }
 
-#[test]
-fn provenance_chain_covers_cause_and_effect() {
-    let (mut net, backbone) = tiny_net(4);
+/// A cold-start convergence with provenance armed, driven by a `step()`
+/// loop or by `run_until_quiescent` at `workers`.
+fn traced_cold_start(workers: usize, steps: bool) -> (SimNet, Arc<ProvenanceLog>) {
+    let (mut net, backbone) = tiny_net(workers);
     net.establish_all();
     let log = net.trace_provenance(Prefix::DEFAULT);
     for &eb in &backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
     }
+    while steps && net.step() {}
     net.run_until_quiescent().expect_converged();
+    (net, log)
+}
 
-    // An armed trace forces the serial engine, like journaling.
+fn jsonl(log: &ProvenanceLog) -> String {
+    let mut buf = Vec::new();
+    log.export_jsonl(&mut buf).unwrap();
+    String::from_utf8(buf).unwrap()
+}
+
+#[test]
+fn provenance_chain_covers_cause_and_effect() {
+    let (net, log) = traced_cold_start(4, false);
+
+    // An armed trace runs the engine at the configured width and records
+    // exactly what the event-at-a-time loop records.
     let snap = net.telemetry().metrics().snapshot();
-    assert_eq!(snap.gauge("core.parallel_workers"), 1);
+    assert_eq!(snap.gauge("core.parallel_workers"), 4);
+    let (_, reference) = traced_cold_start(1, true);
+    assert_eq!(jsonl(&log), jsonl(&reference));
 
     let records = log.records();
     assert!(!records.is_empty(), "convergence produced no provenance");

@@ -43,19 +43,33 @@ fn forced_net(
     (SimNet::new(topo, cfg), idx)
 }
 
-/// A serial reference network with the identical scenario configuration.
-fn serial_net(seed: u64) -> (SimNet, centralium_topology::FabricIndex) {
+/// A reference network with the identical scenario configuration, to be
+/// driven by a `step()` loop.
+fn reference_net(seed: u64) -> (SimNet, centralium_topology::FabricIndex) {
     let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
     (
-        SimNet::new(topo, SimConfig::builder().seed(seed).workers(1).build()),
+        SimNet::new(topo, SimConfig::builder().seed(seed).build()),
         idx,
     )
 }
 
+/// Converge: by a `step()` loop (the event-at-a-time reference) or by
+/// `run_until_quiescent` windows. Returns `(events, finished_at)`.
+fn converge(net: &mut SimNet, steps: bool) -> (u64, u64) {
+    let mut n = 0;
+    if steps {
+        while net.step() {
+            n += 1;
+        }
+    }
+    let r = net.run_until_quiescent().expect_converged();
+    (n + r.events_processed, r.finished_at)
+}
+
 /// One churn episode: originate defaults, converge, RPA deploy/remove,
-/// bounce a device. Multiple `run_until_quiescent` calls per episode, so a
-/// pooled engine reuses its parked workers across convergence barriers.
-fn episode(net: &mut SimNet, idx: &centralium_topology::FabricIndex) -> String {
+/// bounce a device. Multiple convergence barriers per episode, so a
+/// pooled engine reuses its parked workers across them.
+fn episode(net: &mut SimNet, idx: &centralium_topology::FabricIndex, steps: bool) -> String {
     net.establish_all();
     for &eb in &idx.backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
@@ -63,9 +77,9 @@ fn episode(net: &mut SimNet, idx: &centralium_topology::FabricIndex) -> String {
     let mut events = 0;
     let mut finished = 0;
     let mut run = |net: &mut SimNet| {
-        let r = net.run_until_quiescent().expect_converged();
-        events += r.events_processed;
-        finished = r.finished_at;
+        let (n, at) = converge(net, steps);
+        events += n;
+        finished = at;
     };
     run(net);
     for &ssw in &idx.ssw[0] {
@@ -98,14 +112,14 @@ fn episode(net: &mut SimNet, idx: &centralium_topology::FabricIndex) -> String {
 #[test]
 fn forced_dispatch_matches_serial_across_seeds_and_workers() {
     for seed in [7u64, 21, 1337] {
-        let (mut net, idx) = serial_net(seed);
-        let serial = episode(&mut net, &idx);
+        let (mut net, idx) = reference_net(seed);
+        let reference = episode(&mut net, &idx, true);
         for workers in [1usize, 2, 4] {
             let (mut net, idx) = forced_net(seed, workers, 0);
             assert_eq!(
-                serial,
-                episode(&mut net, &idx),
-                "seed {seed}: forced-dispatch {workers}-worker run diverged from serial"
+                reference,
+                episode(&mut net, &idx, false),
+                "seed {seed}: forced-dispatch {workers}-worker run diverged from the step() loop"
             );
         }
     }
@@ -115,14 +129,14 @@ fn forced_dispatch_matches_serial_across_seeds_and_workers() {
 fn shard_count_is_purely_a_scheduling_knob() {
     // More shards than workers, fewer shards than workers, one shard, and
     // absurdly many: the shard → worker fold must never change behaviour.
-    let (mut net, idx) = serial_net(7);
-    let serial = episode(&mut net, &idx);
+    let (mut net, idx) = reference_net(7);
+    let reference = episode(&mut net, &idx, true);
     for shards in [1usize, 2, 3, 8, 64] {
         let (mut net, idx) = forced_net(7, 4, shards);
         assert_eq!(
-            serial,
-            episode(&mut net, &idx),
-            "shards={shards}: run diverged from serial"
+            reference,
+            episode(&mut net, &idx, false),
+            "shards={shards}: run diverged from the step() loop"
         );
     }
 }
@@ -131,31 +145,28 @@ fn shard_count_is_purely_a_scheduling_knob() {
 fn reused_pool_stays_deterministic_across_repeated_convergences() {
     // Two identical pooled networks driven through extra churn cycles after
     // the first episode: every cycle reuses the same parked workers, and
-    // the nets must stay in lockstep with each other and with the serial
-    // reference the whole way.
-    let (mut reference, ridx) = serial_net(21);
+    // the pooled net must stay in lockstep with the step() loop reference
+    // the whole way.
+    let (mut reference, ridx) = reference_net(21);
     let (mut a, aidx) = forced_net(21, 4, 0);
-    episode(&mut reference, &ridx);
-    episode(&mut a, &aidx);
+    episode(&mut reference, &ridx, true);
+    episode(&mut a, &aidx, false);
     for cycle in 0..5 {
-        let churn = |net: &mut SimNet, idx: &centralium_topology::FabricIndex| {
+        let churn = |net: &mut SimNet, idx: &centralium_topology::FabricIndex, steps| {
             net.device_down(idx.fadu[0][0]);
-            let down = net.run_until_quiescent().expect_converged();
+            let down = converge(net, steps);
             net.device_up(idx.fadu[0][0]);
-            let up = net.run_until_quiescent().expect_converged();
-            let mut s = format!(
-                "down={},{} up={},{}\n",
-                down.events_processed, down.finished_at, up.events_processed, up.finished_at
-            );
+            let up = converge(net, steps);
+            let mut s = format!("down={down:?} up={up:?}\n");
             for id in net.device_ids() {
                 writeln!(s, "{id} fib={:?}", net.device(id).unwrap().fib).unwrap();
             }
             s
         };
         assert_eq!(
-            churn(&mut reference, &ridx),
-            churn(&mut a, &aidx),
-            "cycle {cycle}: reused pool diverged from serial"
+            churn(&mut reference, &ridx, true),
+            churn(&mut a, &aidx, false),
+            "cycle {cycle}: reused pool diverged from the step() loop"
         );
     }
 }
@@ -166,7 +177,7 @@ fn dropping_the_network_joins_pool_workers() {
     // shut the workers down and join them (a leak or deadlock here would
     // hang the test binary, not just fail the assertion).
     let (mut net, idx) = forced_net(7, 4, 0);
-    episode(&mut net, &idx);
+    episode(&mut net, &idx, false);
     drop(net);
 }
 

@@ -36,8 +36,10 @@
 //! [`Telemetry::journal_enabled`], so the disabled path costs one
 //! `Option` check and builds no event. Span tracing is **runtime-gated**
 //! ([`span::set_tracing`]): instrumented sites pay one relaxed atomic load
-//! plus a branch while it is off. Provenance is opt-in per prefix and, like
-//! the journal, forces the serial convergence engine.
+//! plus a branch while it is off. Provenance is opt-in per prefix. Both the
+//! journal and provenance work under every convergence engine width: the
+//! simulator appends provenance in event order after each window, and runs
+//! one-event windows while the journal is on.
 
 mod event;
 mod histogram;

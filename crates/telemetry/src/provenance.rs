@@ -14,7 +14,8 @@
 //! as display strings): `telemetry` sits below `bgp` in the crate DAG, so it
 //! cannot name `Prefix` or `DeviceId` — the simulator renders them at the
 //! recording site, which is off the hot path by construction (provenance is
-//! opt-in and forces the serial engine, like journaling).
+//! opt-in). The simulator buffers records per window job and appends them in
+//! event order, so the log is the same at every worker count.
 
 use parking_lot::Mutex;
 use serde::Value;

@@ -6,9 +6,13 @@
 //! a relaxed atomic load, no allocation, no clock read. When tracing is on
 //! (via [`set_tracing`]), each guard stamps a monotonic start time on
 //! construction and appends a completed [`SpanRecord`] to a **thread-local
-//! buffer** on drop; buffers flush to a process-global sink in batches (and
-//! on thread exit), so workers of the windowed convergence engine record
-//! spans without contending on a shared lock per span.
+//! buffer** on drop. A buffer flushes to the process-global sink when its
+//! thread's outermost open span closes (or once it holds 512 records), so
+//! nested spans take no shared lock, and every span a thread has finished
+//! is in the sink once that thread is idle again: a pool worker parked
+//! between windows, or a scoped thread about to return. Flushing on thread
+//! exit alone is not enough, because `std::thread::scope` may return before
+//! a spawned thread's TLS destructors run.
 //!
 //! The sink is process-global rather than per-[`Telemetry`](crate::Telemetry)
 //! handle for the same reason the attribute interner is: spans cross the
@@ -75,6 +79,8 @@ pub struct SpanRecord {
 
 struct ThreadBuf {
     tid: u64,
+    /// Recording spans opened on this thread and not yet closed.
+    open: usize,
     buf: Vec<SpanRecord>,
 }
 
@@ -102,6 +108,7 @@ impl Drop for ThreadBuf {
 thread_local! {
     static LOCAL: RefCell<ThreadBuf> = RefCell::new(ThreadBuf {
         tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+        open: 0,
         buf: Vec::new(),
     });
 }
@@ -132,17 +139,7 @@ pub fn dropped() -> u64 {
 /// disabled the guard is inert and the call costs one atomic load.
 #[inline]
 pub fn span(cat: &'static str, name: &'static str) -> Span {
-    if !tracing_enabled() {
-        return Span { open: None };
-    }
-    Span {
-        open: Some(OpenSpan {
-            name: Cow::Borrowed(name),
-            cat,
-            started: Instant::now(),
-            args: Vec::new(),
-        }),
-    }
+    span_owned(cat, name)
 }
 
 /// [`span`] for low-rate call sites whose label is computed at runtime
@@ -154,6 +151,7 @@ pub fn span_owned(cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span
     if !tracing_enabled() {
         return Span { open: None };
     }
+    LOCAL.with(|cell| cell.borrow_mut().open += 1);
     Span {
         open: Some(OpenSpan {
             name: name.into(),
@@ -206,7 +204,10 @@ impl Drop for Span {
                 tid,
                 args: open.args,
             });
-            if local.buf.len() >= FLUSH_AT {
+            // A guard moved to another thread closes there; saturate rather
+            // than wrap, and let its home thread fall back to FLUSH_AT.
+            local.open = local.open.saturating_sub(1);
+            if local.open == 0 || local.buf.len() >= FLUSH_AT {
                 local.flush();
             }
         });
@@ -214,10 +215,10 @@ impl Drop for Span {
 }
 
 /// Drain every record flushed so far (plus the calling thread's buffer),
-/// oldest first. Worker threads of the scoped convergence engine flush on
-/// exit, so draining after a run observes their spans; a still-live thread
-/// that has recorded fewer than the flush threshold keeps its tail until it
-/// exits or records more.
+/// oldest first. A thread flushes when its outermost span closes, so
+/// draining after a run observes every span that run's threads — pool
+/// workers and scoped threads included — have finished. Only spans still
+/// open on another thread are missing.
 pub fn drain() -> Vec<SpanRecord> {
     LOCAL.with(|cell| cell.borrow_mut().flush());
     let mut records = std::mem::take(&mut *SINK.lock());

@@ -603,7 +603,10 @@ mod tests {
     #[test]
     fn xxl_tier_is_the_100k_decade_with_linear_links() {
         let spec = ThreeTierSpec::xxl();
-        assert!(spec.total_devices() >= 100_000, "xxl must be a 100k+ fabric");
+        assert!(
+            spec.total_devices() >= 100_000,
+            "xxl must be a 100k+ fabric"
+        );
         assert_eq!(spec.total_devices(), 100_420);
         // ~7.3 links per device: still linear, an order of magnitude past xl.
         assert_eq!(spec.total_links(), 735_424);

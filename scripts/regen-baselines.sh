@@ -12,7 +12,7 @@
 #                             via /proc/self/clear_refs where supported),
 #                             quiescent live-heap KB/device, and events/sec
 #                             per row.
-#                             Gated by: perf-smoke (serial wall regression
+#                             Gated by: perf-smoke (per_event wall regression
 #                             >20% fails; tiny only), the 2k memory-budget
 #                             step, the perf_report 2% instrumentation-
 #                             overhead gate, the nightly full-ladder run

@@ -2,7 +2,7 @@
 //! state: with batching on, same-link UPDATEs ride one delivery and
 //! same-prefix re-announcements still queued are squashed last-writer-wins —
 //! but once the network quiesces, every device's FIB must be byte-identical
-//! to the unbatched run, across chaos seeds and both engine widths.
+//! to the unbatched run, across chaos seeds and engine widths.
 //!
 //! The episode deliberately includes a withdraw-then-reannounce race on the
 //! backbone default route: the withdraw wave and the re-announce wave are in
@@ -37,13 +37,30 @@ struct Run {
     events: u64,
 }
 
-fn episode(seed: u64, workers: usize, coalesce: bool) -> Run {
+/// Converge, returning the events processed: by a `step()` loop (the
+/// event-at-a-time reference) when `workers` is `None`, by
+/// `run_until_quiescent` windows otherwise.
+fn converge(net: &mut SimNet, workers: Option<usize>) -> u64 {
+    let mut events = 0;
+    if workers.is_none() {
+        while net.step() {
+            events += 1;
+        }
+    }
+    events
+        + net
+            .run_until_quiescent()
+            .expect_converged()
+            .events_processed
+}
+
+fn episode(seed: u64, workers: Option<usize>, coalesce: bool) -> Run {
     let (topo, idx, _) = build_fabric(&FabricSpec::default());
     let mut net = SimNet::new(
         topo,
         SimConfig::builder()
             .seed(seed)
-            .workers(workers)
+            .workers(workers.unwrap_or(1))
             .coalesce_updates(coalesce)
             .build(),
     );
@@ -51,10 +68,7 @@ fn episode(seed: u64, workers: usize, coalesce: bool) -> Run {
     for &eb in &idx.backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
     }
-    let mut events = net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    let mut events = converge(&mut net, workers);
 
     // Withdraw-then-reannounce race: one backbone retracts the default route
     // and re-originates it 40 µs later, well inside the propagation time of
@@ -75,23 +89,14 @@ fn episode(seed: u64, workers: usize, coalesce: bool) -> Run {
             attrs: PathAttributes::originated([well_known::BACKBONE_DEFAULT_ROUTE]),
         },
     );
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    events += converge(&mut net, workers);
 
     // A device bounce for good measure: session churn plus route withdrawal
     // and relearning through a different part of the fabric.
     net.device_down(idx.fadu[0][0]);
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    events += converge(&mut net, workers);
     net.device_up(idx.fadu[0][0]);
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    events += converge(&mut net, workers);
 
     Run {
         snapshot: forwarding_snapshot(&net),
@@ -102,20 +107,20 @@ fn episode(seed: u64, workers: usize, coalesce: bool) -> Run {
 #[test]
 fn batched_propagation_converges_to_identical_fibs() {
     for seed in [7, 21, 1337] {
-        for workers in [1, 4] {
+        for workers in [None, Some(4)] {
             let unbatched = episode(seed, workers, false);
             let batched = episode(seed, workers, true);
             assert!(
                 !batched.snapshot.is_empty(),
-                "seed {seed} workers {workers}: empty forwarding snapshot"
+                "seed {seed} workers {workers:?}: empty forwarding snapshot"
             );
             assert_eq!(
                 unbatched.snapshot, batched.snapshot,
-                "seed {seed} workers {workers}: batched FIBs diverged from unbatched"
+                "seed {seed} workers {workers:?}: batched FIBs diverged from unbatched"
             );
             assert!(
                 batched.events < unbatched.events,
-                "seed {seed} workers {workers}: coalescing should cut events \
+                "seed {seed} workers {workers:?}: coalescing should cut events \
                  (batched {} vs unbatched {})",
                 batched.events,
                 unbatched.events,
@@ -126,14 +131,17 @@ fn batched_propagation_converges_to_identical_fibs() {
 
 #[test]
 fn batched_runs_are_deterministic_across_widths() {
-    // Same batching config, different engine widths: byte-identical too
-    // (the windowed engine replays batches in the serial pop order).
+    // Same batching config, different engine widths: byte-identical to the
+    // step() loop (the windowed engine replays batches in its pop order).
     for seed in [7, 21, 1337] {
-        let serial = episode(seed, 1, true);
-        let wide = episode(seed, 4, true);
-        assert_eq!(
-            serial.snapshot, wide.snapshot,
-            "seed {seed}: parallel batched run diverged from serial"
-        );
+        let reference = episode(seed, None, true);
+        for workers in [1, 4] {
+            let wide = episode(seed, Some(workers), true);
+            assert_eq!(
+                (&reference.snapshot, reference.events),
+                (&wide.snapshot, wide.events),
+                "seed {seed}: {workers}-worker batched run diverged from the step() loop"
+            );
+        }
     }
 }
